@@ -108,7 +108,12 @@ perf-gate: build
 # ALLOC_GATE_MAX_WORDS (default 0.01) minor-heap words per simulated
 # instruction on the superblock engine; the committed baseline is
 # exactly 0.  Legacy/predecode are reported but not gated (their
-# memory arms box the authority capability by design).
+# memory arms box the authority capability by design).  Compartment-
+# call rows: a warm Kernel.call1 round trip at 64 B and 1024 B of
+# callee stack must allocate at most 450 minor words (measured 384 /
+# 411), and the 1024 B row may exceed the 64 B row by at most 64
+# (measured +27), which pins the switcher's stack zeroing as
+# allocation-free.
 alloc-gate: build
 	dune exec bench/main.exe -- alloc-gate
 

@@ -1536,14 +1536,75 @@ let perf_gate_cmd _args =
 
 (* `bench -- alloc-gate`: CI gate for the packed register file's core
    claim — the steady-state superblock hot loop does zero minor-heap
-   allocation per instruction.  The first run of the rig pays one-time
+   allocation per instruction — and for the compartment-call path built
+   on it.  The first run of the rig pays one-time
    costs (segment decode, superblock compilation, memo-cache fill); the
    second run must stay under ALLOC_GATE_MAX_WORDS minor words per
    instruction (default 0.01 — any real per-instruction allocation
    costs at least 2 words, so the gate has ~200x margin while leaving
    headroom for O(1) entry/exit boxing).  The fallback engines are
    reported for context but not gated: their Lw/Sw arms must still
-   materialize a boxed authority capability for Machine.load/store. *)
+   materialize a boxed authority capability for Machine.load/store.
+
+   Call rows: warm minor words per [Kernel.call1] round trip at 64 B
+   and 1024 B of callee stack need, each at most 450 (the measured 384
+   / 411 plus ~10%), and their difference at most 64.  The
+   1024 B call zeroes 960 more bytes, 120 more 16-byte zeroing trips
+   over the call and return legs; boxing the authority and value on
+   every store made that difference ~5,070 words (~990 -> ~6,060 per
+   call).  The measured +27 is not zeroing: a 1024 B call runs ~6.5x
+   the cycles, so it meets proportionally more timer ticks on the slow
+   tick path. *)
+(* Warm minor-heap words per [Kernel.call1] round trip (native caller ->
+   interpreted switcher -> native callee -> switcher return) into a
+   callee declaring [need] bytes of stack, on a dedicated image so the
+   paper-figure images stay untouched. *)
+let call_gate_needs = [ 64; 1024 ]
+
+let call_words_per_trip () =
+  let entry n = Printf.sprintf "e%d" n in
+  let fw =
+    System.image ~name:"callgate"
+      ~threads:
+        [ F.thread ~name:"main" ~comp:"caller" ~entry:"main" ~stack_size:4096 () ]
+      [
+        F.compartment "caller" ~globals_size:64
+          ~entries:[ F.entry "main" ~arity:0 ~min_stack:2048 ]
+          ~imports:
+            (List.map (fun n -> F.Call { comp = "callee"; entry = entry n })
+               call_gate_needs);
+        F.compartment "callee" ~globals_size:32
+          ~entries:
+            (List.map (fun n -> F.entry (entry n) ~arity:1 ~min_stack:n)
+               call_gate_needs);
+      ]
+  in
+  let sys = Result.get_ok (System.boot ~machine:(Machine.create ()) fw) in
+  let k = sys.System.kernel in
+  List.iter
+    (fun n -> Kernel.implement1 k ~comp:"callee" ~entry:(entry n) (fun _ a -> a.(0)))
+    call_gate_needs;
+  let words = ref [] in
+  Kernel.implement1 k ~comp:"caller" ~entry:"main" (fun ctx _ ->
+      let args = [ iv 1 ] in
+      let trips = 200 in
+      words :=
+        List.map
+          (fun n ->
+            let import = "callee." ^ entry n in
+            for _ = 1 to 16 do
+              ignore (Kernel.call1 ctx ~import args)
+            done;
+            let w0 = Gc.minor_words () in
+            for _ = 1 to trips do
+              ignore (Kernel.call1 ctx ~import args)
+            done;
+            (n, (Gc.minor_words () -. w0) /. float_of_int trips))
+          call_gate_needs;
+      Cap.null);
+  System.run sys;
+  !words
+
 let alloc_gate_cmd _args =
   let max_words =
     match Sys.getenv_opt "ALLOC_GATE_MAX_WORDS" with
@@ -1570,13 +1631,36 @@ let alloc_gate_cmd _args =
   let minor, promoted = steady `Superblock in
   Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (max %.3f)@."
     (engine_name `Superblock) minor promoted max_words;
-  if minor > max_words then begin
-    Fmt.epr
-      "alloc-gate: FAIL — superblock steady state allocates %.6f minor \
-       words/instr (max %.3f)@."
+  let max_call = 450. and max_delta = 64. in
+  let calls = call_words_per_trip () in
+  List.iter
+    (fun (n, w) ->
+      Fmt.pr "alloc-gate: call %4d B %10.1f minor words/call (max %.0f)@." n w
+        max_call)
+    calls;
+  let delta = List.assoc 1024 calls -. List.assoc 64 calls in
+  Fmt.pr "alloc-gate: call 1024 B - 64 B %+8.1f minor words/call (max %.0f)@."
+    delta max_delta;
+  let failed = ref false in
+  let fail fmt =
+    failed := true;
+    Fmt.epr ("alloc-gate: FAIL — " ^^ fmt ^^ "@.")
+  in
+  if minor > max_words then
+    fail "superblock steady state allocates %.6f minor words/instr (max %.3f)"
       minor max_words;
-    exit 1
-  end
+  List.iter
+    (fun (n, w) ->
+      if w > max_call then
+        fail "a %d B compartment call allocates %.1f minor words (max %.0f)" n
+          w max_call)
+    calls;
+  if delta > max_delta then
+    fail
+      "zeroing 960 more stack bytes costs %.1f minor words per call (max \
+       %.0f): the switcher's zeroing loops allocate"
+      delta max_delta;
+  if !failed then exit 1
 
 let wallclock () =
   section "Bechamel wall-clock suite (host cost of each experiment unit)";
@@ -1680,7 +1764,9 @@ let subcommands : (string * string * (string list -> unit)) list =
       perf_gate_cmd );
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
-       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction",
+       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction and \
+       a compartment call at most 450, with 1024 B of stack zeroing \
+       adding at most 64",
       alloc_gate_cmd );
   ]
 

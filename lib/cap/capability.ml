@@ -228,11 +228,11 @@ let check_access ~perm ~addr ~size c =
   else if addr < c.base || addr + size > c.top then Error Bounds_violation
   else Ok ()
 
-let attenuate_loaded ~auth c =
+let attenuate_loaded_by ~auth_perms c =
   if not c.tag then c
   else
     let strip_mutable =
-      (not (Perm.Set.mem Perm.Load_mutable auth.perms))
+      (not (Perm.Set.mem Perm.Load_mutable auth_perms))
       && match c.otype with Otype.Sentry _ -> false | _ -> true
     in
     let perms =
@@ -241,11 +241,13 @@ let attenuate_loaded ~auth c =
       else c.perms
     in
     let perms =
-      if not (Perm.Set.mem Perm.Load_global auth.perms) then
+      if not (Perm.Set.mem Perm.Load_global auth_perms) then
         Perm.Set.(remove Perm.Global (remove Perm.Load_global perms))
       else perms
     in
     { c with perms }
+
+let attenuate_loaded ~auth c = attenuate_loaded_by ~auth_perms:auth.perms c
 
 let exn = function Ok c -> c | Error v -> raise (Derivation v)
 let with_address_exn c a = exn (with_address c a)

@@ -162,6 +162,10 @@ val attenuate_loaded : auth:t -> t -> t
     loses [Global] and [Load_global].  Sentries are exempt from
     [Load_mutable] stripping, as in CHERIoT. *)
 
+val attenuate_loaded_by : auth_perms:Perm.Set.t -> t -> t
+(** [attenuate_loaded] given only the authority's permissions (the only
+    part of [auth] it reads), for callers holding a packed authority. *)
+
 (* Convenience wrappers used by trusted code where failure is a bug. *)
 
 val exn : (t, violation) result -> t

@@ -65,7 +65,8 @@ let[@inline] m_tag m = m land 1 <> 0
 let[@inline] m_sealed m = m lsr 13 <> 0
 let[@inline] m_otype m = m lsr 13
 let[@inline] m_perm_bits m = (m lsr 1) land 0xfff
-let[@inline] m_has_perm p m = m land (1 lsl (Perm.bit p + 1)) <> 0
+let perm_mask p = 1 lsl (Perm.bit p + 1)
+let[@inline] m_has_perm p m = m land perm_mask p <> 0
 
 (* Slot accessors (bounds-checked). *)
 

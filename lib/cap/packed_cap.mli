@@ -45,6 +45,11 @@ val m_otype : int -> int
 val m_perm_bits : int -> int
 val m_has_perm : Perm.t -> int -> bool
 
+val perm_mask : Perm.t -> int
+(** The permission's bit in the meta word: [m_has_perm p m] is
+    [m land perm_mask p <> 0].  For hot paths that test a fixed
+    permission against a precomputed mask. *)
+
 (* Slot accessors (bounds-checked). *)
 
 val meta : int array -> int -> int

@@ -37,7 +37,7 @@ and reboot_limit = {
 
 and comp_runtime = {
   layout : Loader.comp_layout;
-  mutable impls : (string * entry_impl) list;
+  impls : entry_impl option array;  (** by entry index *)
   mutable on_error : error_handler option;
   mutable poisoned : bool;
   mutable snapshot : string option;
@@ -177,7 +177,9 @@ let boot ?loader_size ?(quantum = 2000) ~machine fw =
         Array.of_list
           (List.map
              (fun layout ->
-               { layout; impls = []; on_error = None; poisoned = false;
+               { layout;
+                 impls = Array.make (Array.length layout.Loader.lc_entries) None;
+                 on_error = None; poisoned = false;
                  snapshot = None; reboots = 0 })
              ld.Loader.comps)
       in
@@ -261,7 +263,8 @@ let boot ?loader_size ?(quantum = 2000) ~machine fw =
             k.threads;
           let comps =
             Array.map
-              (fun c -> (c.impls, c.on_error, c.poisoned, c.snapshot, c.reboots))
+              (fun c ->
+                (Array.copy c.impls, c.on_error, c.poisoned, c.snapshot, c.reboots))
               k.comps
           in
           let threads =
@@ -289,7 +292,7 @@ let boot ?loader_size ?(quantum = 2000) ~machine fw =
             Array.iteri
               (fun i (impls, on_error, poisoned, snapshot, reboots) ->
                 let c = k.comps.(i) in
-                c.impls <- impls;
+                Array.blit impls 0 c.impls 0 (Array.length impls);
                 c.on_error <- on_error;
                 c.poisoned <- poisoned;
                 c.snapshot <- snapshot;
@@ -336,13 +339,18 @@ let comp_runtime t name = t.comps.(comp_id t name)
 
 let implement t ~comp ~entry impl =
   let c = comp_runtime t comp in
-  if
-    not
-      (Array.exists
-         (fun (e : Firmware.entry) -> e.Firmware.entry_name = entry)
-         c.layout.Loader.lc_entries)
-  then invalid_arg (Printf.sprintf "compartment %s has no entry %s" comp entry);
-  c.impls <- (entry, impl) :: List.remove_assoc entry c.impls
+  let found = ref false in
+  (* Every index carrying the name: entry names are not required to be
+     unique, and dispatch has always resolved by name. *)
+  Array.iteri
+    (fun i (e : Firmware.entry) ->
+      if e.Firmware.entry_name = entry then begin
+        c.impls.(i) <- Some impl;
+        found := true
+      end)
+    c.layout.Loader.lc_entries;
+  if not !found then
+    invalid_arg (Printf.sprintf "compartment %s has no entry %s" comp entry)
 
 let implement1 t ~comp ~entry f =
   implement t ~comp ~entry (fun ctx args -> (f ctx args, Cap.null))
@@ -358,15 +366,37 @@ let set_error_handler t ~comp h =
 
 (* Helpers *)
 
+(* The compartment whose code range holds [addr], and the entry index
+   there; the last match wins.  Runs on every compartment call. *)
 let comp_of_code_addr t addr =
-  let found = ref None in
-  Array.iter
-    (fun c ->
+  let rec go i =
+    if i < 0 then None
+    else
+      let c = t.comps.(i) in
       let l = c.layout in
       if addr >= l.Loader.lc_code_base && addr < l.Loader.lc_code_base + l.Loader.lc_code_size
-      then found := Some (c, (addr - l.Loader.lc_code_base) / 4))
-    t.comps;
-  !found
+      then Some (c, (addr - l.Loader.lc_code_base) / 4)
+      else go (i - 1)
+  in
+  go (Array.length t.comps - 1)
+
+(* How crash dumps name native entry [idx]; rendered only on the fault
+   paths, not on every call. *)
+let entry_label c idx =
+  Printf.sprintf "native %s.%s" c.layout.Loader.lc_name
+    c.layout.Loader.lc_entries.(idx).Firmware.entry_name
+
+(* The native implementation of entry [idx], or one that fails naming
+   the entry ([what] is "entry" or "library entry"). *)
+let impl_of c idx ~what =
+  match c.impls.(idx) with
+  | Some f -> f
+  | None ->
+      fun _ _ ->
+        failwith
+          (Printf.sprintf "%s %s.%s has no implementation" what
+             c.layout.Loader.lc_name
+             c.layout.Loader.lc_entries.(idx).Firmware.entry_name)
 
 let pad_sentry t =
   let kind =
@@ -591,12 +621,10 @@ and dispatch t ~tid ~caller target =
           (Obs.Call_enter
              { caller; callee; entry = entry.Firmware.entry_name; tid });
       let entry_addr = comp.layout.Loader.lc_code_base + (4 * entry_idx) in
-      let entry_label =
-        Printf.sprintf "native %s.%s" callee entry.Firmware.entry_name
-      in
       if comp.poisoned then begin
         capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
-          ~addr:(-1) ~pc:entry_addr ~instr:entry_label ~handler_ran:false;
+          ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry_idx)
+          ~handler_ran:false;
         forced_unwind t th;
         if Machine.tracing t.machine then
           Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = true });
@@ -611,18 +639,10 @@ and dispatch t ~tid ~caller target =
               ~entry:entry.Firmware.entry_name
         | None -> false
       then
-        handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+        handle_callee_fault t ~tid ~entry_addr ~entry_idx comp callee_ctx
           "injected crash" (-1)
       else begin
-        let impl =
-          match List.assoc_opt entry.Firmware.entry_name comp.impls with
-          | Some f -> f
-          | None ->
-              fun _ _ ->
-                failwith
-                  (Printf.sprintf "entry %s.%s has no implementation"
-                     comp.layout.Loader.lc_name entry.Firmware.entry_name)
-        in
+        let impl = impl_of comp entry_idx ~what:"entry" in
         let args =
           Array.init entry.Firmware.arity (fun i ->
               Interp.get_reg t.interp (Isa.ca0 + i))
@@ -630,11 +650,11 @@ and dispatch t ~tid ~caller target =
         match impl callee_ctx args with
         | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1)
         | exception Memory.Fault f ->
-            handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+            handle_callee_fault t ~tid ~entry_addr ~entry_idx comp callee_ctx
               (Cap.violation_to_string f.Memory.cause)
               f.Memory.addr
         | exception Cap.Derivation v ->
-            handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+            handle_callee_fault t ~tid ~entry_addr ~entry_idx comp callee_ctx
               (Cap.violation_to_string v) (-1)
       end
 
@@ -658,9 +678,10 @@ and finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1) =
       failwith (Fmt.str "switcher return path trapped: %a" Interp.pp_trap tr)
   | Interp.Halted -> assert false
 
-and handle_callee_fault t ~tid ~entry_addr ~entry_label comp ctx cause addr =
+and handle_callee_fault t ~tid ~entry_addr ~entry_idx comp ctx cause addr =
   capture_dump t ~tid ~comp:comp.layout.Loader.lc_name ~cause ~addr
-    ~pc:entry_addr ~instr:entry_label ~handler_ran:(comp.on_error <> None);
+    ~pc:entry_addr ~instr:(entry_label comp entry_idx)
+    ~handler_ran:(comp.on_error <> None);
   Machine.tick t.machine Cost.trap_entry;
   let th = t.threads.(tid) in
   let fi =
@@ -713,16 +734,7 @@ let lib_call ctx ~import args =
       let target = Cap.address sentry in
       match comp_of_code_addr t target with
       | Some (lib, entry_idx) when lib.layout.Loader.lc_kind = Firmware.Library ->
-          let entry = lib.layout.Loader.lc_entries.(entry_idx) in
-          let impl =
-            match List.assoc_opt entry.Firmware.entry_name lib.impls with
-            | Some f -> f
-            | None ->
-                fun _ _ ->
-                  failwith
-                    (Printf.sprintf "library entry %s.%s has no implementation"
-                       lib.layout.Loader.lc_name entry.Firmware.entry_name)
-          in
+          let impl = impl_of lib entry_idx ~what:"library entry" in
           (* Library code runs in the *caller's* security context. *)
           impl ctx (Array.of_list args)
       | Some _ | None -> invalid_arg ("lib_call: " ^ import ^ " is not a library entry"))

@@ -547,7 +547,7 @@ let run_super t fuel pcc0 seg0 =
   let m = t.machine in
   let sb = t.sb in
   (* [pend] is the deferred-cycle batch carried across block boundaries
-     (-1 = nothing pending).  It is flushed at every point where the
+     (negative = nothing pending).  It is flushed at every point where the
      clock becomes observable: a side-exit, a non-deferred block entry,
      a fuel trap, or the end of the run. *)
   let[@inline] pflush pend = if pend > 0 then Machine.tick m pend in
@@ -603,39 +603,45 @@ let run_super t fuel pcc0 seg0 =
               (* Tight loop: the compiled closure spins on itself for up
                  to [sspins] extra trips (bounded by the remaining fuel),
                  re-checking the horizon against the growing batch every
-                 trip; it hands back how many trips it did not use. *)
+                 trip; it hands back how many trips it did not use, and
+                 the last trip's length. *)
               let spins0 = (budget / len) - 1 in
               sb.Sb.sspins <- spins0;
               let e = b.Sb.b_run pcc p0 in
-              let used = (spins0 - sb.Sb.sspins + 1) * len in
-              finish e (budget - used) sb.Sb.sret_acc
+              (* A run that stopped deferring mid-way hands back the
+                 allowance it had left then ([Superblock.undeferred]):
+                 its next real tick could let another run reuse
+                 [sspins]. *)
+              let pend = sb.Sb.sret_acc in
+              let left = if pend >= 0 then sb.Sb.sspins else -1 - pend in
+              let used = ((spins0 - left) * len) + sb.Sb.sret_n in
+              finish e (budget - used) pend
             end
-            else begin
-              (* Re-enter a block that branches back to itself without
-                 re-deriving the preconditions that cannot have changed —
-                 the pcc bounds and the compiled block itself.  Fuel,
-                 tracing and the event horizon (against the carried
-                 batch) are re-checked every trip: a cache-miss path
-                 inside the block ticks for real and can fire events. *)
-              let rec spin e budget =
-                let pend = sb.Sb.sret_acc in
-                if e = pc && budget >= len && not (Machine.tracing m) then begin
-                  let p0 = if pend >= 0 then pend else 0 in
-                  if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
-                    spin (b.Sb.b_run pcc p0) (budget - len)
-                  else finish e budget pend
-                end
-                else finish e budget pend
-              in
-              spin (b.Sb.b_run pcc p0) (budget - len)
-            end
+            else spin b pc (b.Sb.b_run pcc p0) budget
           else begin
             pflush pend;
             let e = b.Sb.b_run pcc (-1) in
-            finish e (budget - len) sb.Sb.sret_acc
+            finish e (budget - sb.Sb.sret_n) sb.Sb.sret_acc
           end
         end
       end
+    (* Re-enter a block that exited to its own entry without re-deriving
+       the preconditions that cannot have changed — the pcc bounds and
+       the compiled block itself.  Fuel, tracing and the event horizon
+       (against the carried batch) are re-checked every trip: a
+       cache-miss path inside the block ticks for real and can fire
+       events.  A sibling of [blocks], not a closure built per entry,
+       so entering a block allocates nothing. *)
+    and spin b pc e budget =
+      let budget = budget - sb.Sb.sret_n in
+      let pend = sb.Sb.sret_acc in
+      if e = pc && budget >= b.Sb.b_len && not (Machine.tracing m) then begin
+        let p0 = if pend >= 0 then pend else 0 in
+        if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
+          spin b pc (b.Sb.b_run pcc p0) budget
+        else finish e budget pend
+      end
+      else finish e budget pend
     and finish e budget pend =
       if e >= 0 then blocks e budget pend
       else if e = Sb.x_halt then begin
@@ -643,7 +649,8 @@ let run_super t fuel pcc0 seg0 =
         Halted
       end
       else begin
-        (* Cjalr flushed before the posture change, so [pend] is -1. *)
+        (* Cjalr flushed before the posture change, so nothing is
+           pending. *)
         let target = sb.Sb.sjump in
         let pc' = Cap.address target in
         match find_segment t pc' with
@@ -654,6 +661,16 @@ let run_super t fuel pcc0 seg0 =
     blocks pc budget pend
   in
   epoch pcc0 seg0 (Cap.address pcc0) fuel (-1)
+
+let block_shape t pc =
+  match find_segment t pc with
+  | None -> None
+  | Some seg ->
+      let b =
+        Sb.compile t.sb (materialize seg) ~base:seg.seg_base
+          ~idx:((pc - seg.seg_base) / 4)
+      in
+      if b.Sb.b_len = 0 then None else Some (b.Sb.b_len, b.Sb.b_self)
 
 let run ?(fuel = 1_000_000) t target =
   let rec loop pcc budget =

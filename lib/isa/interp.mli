@@ -21,8 +21,9 @@ type engine = [ `Legacy | `Predecode | `Superblock ]
       materializes an array of pre-decoded instructions with branch
       labels resolved to absolute targets, and execution threads a
       plain integer PC between control transfers;
-    - [`Superblock]: additionally compiles each straight-line run into
-      a fused closure ({!Superblock}) with bounds checks hoisted to
+    - [`Superblock]: additionally compiles each single-entry,
+      multi-exit run into a fused closure ({!Superblock}) with bounds
+      checks hoisted to
       block entry, memoized load-filter checks and tick batching under
       the event horizon, side-exiting to the [`Predecode] engine
       whenever a block precondition fails.
@@ -95,3 +96,9 @@ val run : ?fuel:int -> t -> Capability.t -> outcome
     and interpret until an outcome is reached.  [fuel] bounds the number
     of instructions (default 1_000_000) and exceeding it is a [Software]
     trap. *)
+
+val block_shape : t -> int -> (int * bool) option
+(** The superblock the dispatcher enters at this pc, compiled afresh:
+    its length in instructions and whether it loops on itself (spins
+    inside the compiled closure).  [None] outside every segment or for
+    an uncompilable block.  For structure tests; runs nothing. *)

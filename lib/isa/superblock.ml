@@ -3,15 +3,21 @@ module Pk = Packed_cap
 
 (* Superblock compiler: the third interpreter back-end.
 
-   A superblock is the straight-line run from a jump target (or branch
-   fall-through) to the next control-flow instruction, inclusive.  On
-   first execution the pre-decoded slots of that run are compiled into a
-   single fused OCaml closure chain — one closure per instruction, each
-   tail-calling the next — so the per-step dispatch, segment-range and
-   PCC-bounds checks disappear from the hot path: the dispatcher in
-   [Interp] validates the whole block's preconditions once at entry and
-   either runs the fused closure or side-exits to the exact per-
-   instruction engine.
+   A superblock is a single-entry, multi-exit run of pre-decoded slots:
+   from its entry (a jump target, or wherever the dispatcher lands) up
+   to the next unconditional control transfer (J, Cjal, Cjalr, Halt,
+   Trapif) or a conditional branch back to the block's own entry,
+   inclusive.  Any other conditional branch is a mid-block exit: taken,
+   it leaves the block at its target; not taken, it falls into the next
+   closure.  On first execution the run is compiled into a single fused
+   OCaml closure chain — one closure per instruction, each tail-calling
+   the next — so the per-step dispatch, segment-range and PCC-bounds
+   checks disappear from the hot path: the dispatcher in [Interp]
+   validates the whole block's preconditions once at entry (for the
+   full length, whichever exit is taken) and either runs the fused
+   closure or side-exits to the exact per-instruction engine.  The
+   switcher's stack-zeroing loops (Cgetaddr; Beq out; Csc; Csc;
+   Cincaddrimm; J back) are each one such block that spins on itself.
 
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
@@ -40,10 +46,19 @@ module Pk = Packed_cap
      horizon ([Machine.defer_window]): then every elided tick would have
      taken the fast path (no listener, timer or IRQ delivery), nothing
      can observe the clock mid-block, and one batched tick at the
-     terminator is exact.  [acc] = -1 means "not deferring": every
-     charge ticks immediately, which is the legacy behaviour instruction
-     for instruction (and the only mode in which preemption, tracing
-     samples or fault-injection listeners can fire mid-block).
+     terminator is exact.  A negative [acc] means "not deferring":
+     every charge ticks immediately, which is the legacy behaviour
+     instruction for instruction (and the only mode in which
+     preemption, tracing samples or fault-injection listeners can fire
+     mid-block).  A run that stops deferring mid-block encodes its
+     remaining self-loop allowance in that negative value
+     ([undeferred]), since a preempting run may then reuse
+     [ctx.sspins].
+
+   - Every exit hands back its pending batch in [sret_acc] and the
+     number of instructions the trip retired in [sret_n] — the block's
+     length at its final instruction, fewer at a mid-block exit — so
+     the dispatcher charges fuel and counts self-loop trips exactly.
 
    - Every raise out of a compiled closure flushes pending cycles first,
      so a trapping block leaves the clock exactly where the legacy
@@ -51,8 +66,16 @@ module Pk = Packed_cap
 
    - Anything with an observer flushes before it runs and disables
      deferral after: MMIO device access (devices read the clock and
-     raise IRQs), [store_cap] (the tag-set hook settles the revoker
-     against the live clock).
+     raise IRQs) and a Csc of a tagged value (the tag-set hook settles
+     the revoker against the live clock).  A Csc of an untagged value
+     stays in the batch: it runs [Machine.store_cap]'s tick and checks
+     on the packed slots ([Memory.store_untagged_packed]) and at most
+     clears a tag, which fires no hook.  A tag clear commutes with the
+     lazily settled revoker sweep (a sweep step only ever clears tags),
+     and the cached horizon, computed from the next tagged granule the
+     sweep will reach, can only become stale-early — the sweep finds
+     fewer tags, never more — which [Machine.defer_window] treats as
+     safe.
 
    - The memoized load-filter caches (one per Lw/Sw slot) are valid iff
      the authorising capability is VALUE-unchanged (the four packed
@@ -79,10 +102,11 @@ exception Trap_exn of trap
 
 (* Shared execution state: the packed register file and counters every
    engine reads and writes in place.  [sjump] carries a Cjalr target
-   from the terminator closure to the dispatcher, and [sret_acc] the
-   pending deferred-cycle batch that a pure-control terminator hands
-   back instead of flushing (each written and read back-to-back with no
-   tick in between, so a preempting run cannot clobber them).  Carrying
+   from the terminator closure to the dispatcher, [sret_acc] the
+   pending deferred-cycle batch that a block exit hands back instead of
+   flushing, and [sret_n] how many instructions that trip retired (each
+   written and read back-to-back with no tick in between, so a
+   preempting run cannot clobber them).  Carrying
    the batch across blocks lets a tight loop make many trips on a
    single flush; the dispatcher re-validates [Machine.defer_window]
    against the carried batch plus the next block's worst case before
@@ -96,6 +120,7 @@ type ctx = {
   mutable sinstret : int;
   mutable sjump : Cap.t;
   mutable sret_acc : int;
+  mutable sret_n : int;
   mutable sspins : int;
 }
 
@@ -108,6 +133,7 @@ let make_ctx machine =
     sinstret = 0;
     sjump = Cap.null;
     sret_acc = -1;
+    sret_n = 0;
     sspins = 0;
   }
 
@@ -160,7 +186,7 @@ let[@inline] charge m acc n =
   if acc >= 0 then acc + n
   else begin
     Machine.tick m n;
-    -1
+    acc
   end
 
 (* Retire one instruction: charge Cost.instr, bump instret, and emit the
@@ -182,8 +208,18 @@ let[@inline] retire ctx acc =
     ctx.sinstret <- n;
     if n land 1023 = 0 && Machine.tracing ctx.sm then
       Machine.emit ctx.sm (Obs.Instr_sample { instret = n });
-    -1
+    acc
   end
+
+(* Stop deferring for the rest of the run, after flushing and before
+   an access the clock must be live for.  Any negative [acc] means "not
+   deferring"; the one built here also carries the spin allowance left
+   at this moment, [-1 - ctx.sspins], read while the run is still
+   atomic (the flush tick is below the horizon).  After the
+   next real tick another run may reuse [ctx.sspins], and no later trip
+   can spin (that needs [acc >= 0]), so this is the count the
+   dispatcher must charge a self-loop's fuel by. *)
+let[@inline] undeferred ctx acc = if acc >= 0 then -1 - ctx.sspins else acc
 
 (* Hot-path packed accessors: register indices are proved < 16 at
    compile time ([okr]), so unsafe indexing is sound.  Register 0 reads
@@ -223,11 +259,36 @@ let capfx m acc pc = function
 let[@inline] pkfx m acc pc code =
   if code <> 0 then trapfx m acc pc (Cap_fault (Pk.violation code))
 
-let is_terminator = function
-  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ | Isa.J _ | Isa.Cjal _
-  | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ ->
-      true
+(* Instructions that end a block: unconditional control flow, and a
+   conditional branch back to the block's own entry (the back-edge of a
+   tight loop, which spins inside the closure).  Any other conditional
+   branch is a mid-block exit: taken, it leaves the block; not taken, it
+   continues the chain. *)
+let ends_block entry slot =
+  match slot.d_ins with
+  | Isa.J _ | Isa.Cjal _ | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ -> true
+  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ -> slot.d_target = entry
   | _ -> false
+
+(* Leave the block: hand back the pending batch and the number of
+   instructions this trip retired, then the exit code.  Both writes sit
+   beside the return with no tick in between, so the dispatcher reads
+   back exactly this trip's values. *)
+let[@inline] leave ctx acc nr x =
+  ctx.sret_acc <- acc;
+  ctx.sret_n <- nr;
+  x
+
+(* A loop back-edge: re-enter the chain head for another trip while the
+   dispatcher's spin allowance lasts and the batch plus one more
+   worst-case trip stays under the horizon; otherwise leave with the
+   full block retired. *)
+let[@inline] back ctx head ~mc ~len pcc acc tgt =
+  if acc >= 0 && ctx.sspins > 0 && Machine.defer_window ctx.sm (acc + mc) then begin
+    ctx.sspins <- ctx.sspins - 1;
+    !head pcc acc
+  end
+  else leave ctx acc len tgt
 
 (* Worst-case cycle cost of one instruction, for the defer_window
    precondition (mem_cap = mmio = 3 dominates mem_word). *)
@@ -246,25 +307,28 @@ let okr r = r >= 0 && r < 16
 let compile ctx dec ~base ~idx =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
   let n = Array.length dec in
+  let entry = base + (4 * idx) in
   let stop =
-    let rec f j = if j >= n then n else if is_terminator dec.(j).d_ins then j else f (j + 1) in
+    let rec f j = if j >= n then n else if ends_block entry dec.(j) then j else f (j + 1) in
     f idx
   in
   let last = if stop >= n then n - 1 else stop in
+  let len = last - idx + 1 in
   let maxcost = ref 0 in
   for j = idx to last do
     maxcost := !maxcost + instr_maxcost dec.(j).d_ins
   done;
   let mc = !maxcost in
-  (* Self-loop support: when the terminator's taken target is this
-     block's own entry, the terminator re-enters the chain head directly
-     (knot tied through [head]) for up to [ctx.sspins] extra trips, each
-     trip re-checking the event horizon against the accumulated batch.
+  (* Self-loop support: when the block's final instruction jumps back to
+     its own entry, it re-enters the chain head directly (knot tied
+     through [head]) for up to [ctx.sspins] extra trips, each trip
+     re-checking the event horizon against the accumulated batch.
      Deferred execution is atomic — every tick inside it is below the
      horizon, so it takes the fast path and cannot run effects — which
      is what makes the [sspins] counter and the skipped tracing recheck
-     sound: nothing can preempt or toggle tracing mid-spin. *)
-  let entry = base + (4 * idx) in
+     sound: nothing can preempt or toggle tracing mid-spin.  A trip that
+     leaves early through a mid-block exit reports its own length in
+     [sret_n]; every completed trip retired exactly [len]. *)
   let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in
   let self = ref false in
   let rec build j : Cap.t -> int -> int =
@@ -273,12 +337,11 @@ let compile ctx dec ~base ~idx =
          re-checks segment and bounds at the returned pc, exactly as the
          per-instruction engine would on its next step. *)
       let fall = base + (4 * j) in
-      fun _pcc acc ->
-        ctx.sret_acc <- acc;
-        fall
+      fun _pcc acc -> leave ctx acc len fall
     else begin
       let slot = Array.unsafe_get dec j in
       let pc = base + (4 * j) in
+      let nr = j - idx + 1 in
       match slot.d_ins with
       (* --- straight-line instructions: call the continuation --- *)
       | Isa.Li (rd, v) ->
@@ -401,9 +464,10 @@ let compile ctx dec ~base ~idx =
                   (* MMIO (or unmapped): the device observes the clock and
                      may raise IRQs — flush first, stop deferring after. *)
                   flushx m acc;
+                  let acc = undeferred ctx acc in
                   let v = Machine.load m ~auth ~addr ~size:4 in
                   uint pk rd v;
-                  k pcc (-1)
+                  k pcc acc
                 end
               end
             end
@@ -468,19 +532,27 @@ let compile ctx dec ~base ~idx =
                 end
                 else begin
                   flushx m acc;
+                  let acc = undeferred ctx acc in
                   Machine.store m ~auth ~addr ~size:4 (ucur pk rs2);
-                  k pcc (-1)
+                  k pcc acc
                 end
               end
             end
       | Isa.Clc (rd, imm, rs) ->
           if not (okr rd && okr rs) then raise Unsupported;
+          let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            let auth = Pk.unpack pk rs in
+            (* The authority is read before the memory tick, as the
+               boxed path unpacks it before [Machine.load_cap] ticks. *)
+            let am = Array.unsafe_get pk os
+            and ab = Array.unsafe_get pk (os + 1)
+            and at = Array.unsafe_get pk (os + 2)
+            and ac = Array.unsafe_get pk (os + 3) in
+            let acc = charge m acc Cost.mem_cap in
             let v =
-              try Machine.load_cap m ~auth ~addr:(Cap.address auth + imm)
+              try Memory.load_cap_packed mem ~am ~ab ~at ~addr:(ac + imm)
               with e ->
                 flushx m acc;
                 raise e
@@ -489,16 +561,43 @@ let compile ctx dec ~base ~idx =
             k pcc acc
       | Isa.Csc (rs2, imm, rs1) ->
           if not (okr rs2 && okr rs1) then raise Unsupported;
+          let oa = rs1 lsl 2 and ov = rs2 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            (* The tag-set hook settles the revoker against the live
-               clock: flush first, stop deferring after. *)
-            flushx m acc;
-            let auth = Pk.unpack pk rs1 in
-            Machine.store_cap m ~auth ~addr:(Cap.address auth + imm)
-              (Pk.unpack pk rs2);
-            k pcc (-1)
+            let vm = Array.unsafe_get pk ov in
+            if Pk.m_tag vm then begin
+              (* A tag appears: the tag-set hook settles the revoker
+                 against the live clock, so flush first and stop
+                 deferring after. *)
+              flushx m acc;
+              let acc = undeferred ctx acc in
+              let auth = Pk.unpack pk rs1 in
+              Machine.store_cap m ~auth ~addr:(Cap.address auth + imm)
+                (Pk.unpack pk rs2);
+              k pcc acc
+            end
+            else begin
+              (* Untagged value: [Machine.store_cap]'s tick and checks on
+                 the packed slots, read before the tick like the boxed
+                 path's operands.  Clearing a tag fires no hook, so the
+                 store stays inside the deferred batch. *)
+              let am = Array.unsafe_get pk oa
+              and ab = Array.unsafe_get pk (oa + 1)
+              and at = Array.unsafe_get pk (oa + 2)
+              and ac = Array.unsafe_get pk (oa + 3)
+              and vb = Array.unsafe_get pk (ov + 1)
+              and vt = Array.unsafe_get pk (ov + 2)
+              and vc = Array.unsafe_get pk (ov + 3) in
+              let acc = charge m acc Cost.mem_cap in
+              (try
+                 Memory.store_untagged_packed mem ~am ~ab ~at ~addr:(ac + imm)
+                   ~vm ~vb ~vt ~vc
+               with e ->
+                 flushx m acc;
+                 raise e);
+              k pcc acc
+            end
       | Isa.Cincaddr (rd, a, b) ->
           if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
@@ -637,152 +736,74 @@ let compile ctx dec ~base ~idx =
             let acc = retire ctx acc in
             Pk.clear_tag pk ~dst:rd ~src:a;
             k pcc acc
-      (* --- terminators: flush and return the exit --- *)
-      | Isa.Beq (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
-          if tpc = entry then begin
-            self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if ucur pk a = ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
-          end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a = ucur pk b then tpc else fpc
-      | Isa.Bne (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
-          if tpc = entry then begin
-            self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if ucur pk a <> ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
-          end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a <> ucur pk b then tpc else fpc
-      | Isa.Bltu (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
-          if tpc = entry then begin
-            self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if ucur pk a < ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
-          end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a < ucur pk b then tpc else fpc
+      (* --- control flow: mid-block exits and terminators --- *)
+      | Isa.Beq (a, b, _) | Isa.Bne (a, b, _) | Isa.Bltu (a, b, _)
       | Isa.Bgeu (a, b, _) ->
           if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target and fpc = pc + 4 in
+          (* One closure per opcode, so the hot path compares two ints
+             directly. *)
           if tpc = entry then begin
+            (* Loop back-edge: always the block's last instruction. *)
             self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if ucur pk a >= ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
+            match slot.d_ins with
+            | Isa.Beq _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a = ucur pk b then back ctx head ~mc ~len pcc acc tpc
+                  else leave ctx acc nr fpc
+            | Isa.Bne _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a <> ucur pk b then back ctx head ~mc ~len pcc acc tpc
+                  else leave ctx acc nr fpc
+            | Isa.Bltu _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a < ucur pk b then back ctx head ~mc ~len pcc acc tpc
+                  else leave ctx acc nr fpc
+            | _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a >= ucur pk b then back ctx head ~mc ~len pcc acc tpc
+                  else leave ctx acc nr fpc
           end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a >= ucur pk b then tpc else fpc
+          else begin
+            let k = build (j + 1) in
+            match slot.d_ins with
+            | Isa.Beq _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a = ucur pk b then leave ctx acc nr tpc
+                  else k pcc acc
+            | Isa.Bne _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a <> ucur pk b then leave ctx acc nr tpc
+                  else k pcc acc
+            | Isa.Bltu _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a < ucur pk b then leave ctx acc nr tpc
+                  else k pcc acc
+            | _ ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  if ucur pk a >= ucur pk b then leave ctx acc nr tpc
+                  else k pcc acc
+          end
       | Isa.J _ ->
           let tgt = slot.d_target in
           if tgt = entry then begin
             self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if
-                acc >= 0 && ctx.sspins > 0
-                && Machine.defer_window m (acc + mc)
-              then begin
-                ctx.sspins <- ctx.sspins - 1;
-                !head pcc acc
-              end
-              else begin
-                ctx.sret_acc <- acc;
-                tgt
-              end
+            fun pcc acc -> back ctx head ~mc ~len pcc (retire ctx acc) tgt
           end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              tgt
+          else fun _pcc acc -> leave ctx (retire ctx acc) nr tgt
       | Isa.Cjal (rd, _) ->
           if not (okr rd) then raise Unsupported;
           let tgt = slot.d_target in
           fun pcc acc ->
             let acc = retire ctx acc in
-            ctx.sret_acc <- acc;
             if rd <> 0 then begin
               let kind =
                 if Machine.irq_enabled m then Cap.Otype.Return_enable
@@ -791,13 +812,12 @@ let compile ctx dec ~base ~idx =
               Pk.pack pk rd
                 (Cap.exn (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) kind))
             end;
-            tgt
+            leave ctx acc nr tgt
       | Isa.Cjalr (rd, rs) ->
           if not (okr rd && okr rs) then raise Unsupported;
           fun pcc acc ->
             let acc = retire ctx acc in
             flushx m acc;
-            ctx.sret_acc <- -1;
             let target = Pk.unpack pk rs in
             let unsealed, back_kind = apply_jump_target m pc target in
             if rd <> 0 then
@@ -805,13 +825,11 @@ let compile ctx dec ~base ~idx =
                 (Cap.exn
                    (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) back_kind));
             ctx.sjump <- unsealed;
-            x_jump
+            leave ctx (-1) nr x_jump
       | Isa.Halt ->
           fun _pcc acc ->
-            let acc = retire ctx acc in
-            flushx m acc;
-            ctx.sret_acc <- -1;
-            x_halt
+            flushx m (retire ctx acc);
+            leave ctx (-1) nr x_halt
       | Isa.Trapif cause ->
           fun _pcc acc ->
             let acc = retire ctx acc in
@@ -822,6 +840,6 @@ let compile ctx dec ~base ~idx =
   try
     let f = build idx in
     head := f;
-    { b_len = last - idx + 1; b_maxcost = mc; b_self = !self; b_run = f }
+    { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }
   with Unsupported ->
     { b_len = 0; b_maxcost = 0; b_self = false; b_run = (fun _ _ -> x_halt) }

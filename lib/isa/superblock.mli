@@ -1,8 +1,10 @@
-(** Superblock compiler: fuses the straight-line run from a jump target
-    to the next control-flow instruction into a single closure chain,
-    with per-instruction dispatch, segment-range and PCC-bounds checks
-    hoisted to block entry.  The {!Interp} dispatcher validates a
-    block's preconditions once, then either runs the fused closure or
+(** Superblock compiler: fuses a single-entry, multi-exit run — from a
+    block entry to the next unconditional control transfer or loop
+    back-edge, with other conditional branches as mid-block exits —
+    into a single closure chain, with per-instruction dispatch,
+    segment-range and PCC-bounds checks hoisted to block entry.  The
+    {!Interp} dispatcher validates a block's preconditions once, for
+    its full length, then either runs the fused closure or
     side-exits to the exact per-instruction engine; compiled blocks are
     observationally identical to it — registers, cycles, instret, trap
     cause + PC and the Obs event stream — which the three-way
@@ -36,17 +38,23 @@ type ctx = {
   mutable sjump : Capability.t;
       (** Cjalr target handoff from terminator to dispatcher *)
   mutable sret_acc : int;
-      (** pending deferred-cycle batch handed back by a pure-control
-          terminator instead of flushing, so the dispatcher can carry
-          it into the next block ([-1] = nothing pending); valid only
+      (** pending deferred-cycle batch handed back by a block exit
+          instead of flushing, so the dispatcher can carry it into the
+          next block (negative = nothing pending); valid only
           immediately after [b_run] returns *)
+  mutable sret_n : int;
+      (** instructions the last trip through a block retired: the
+          block's length at its terminator, fewer at a mid-block exit;
+          written beside [sret_acc] and valid under the same rule *)
   mutable sspins : int;
       (** extra self-loop trips a [b_self] block may take inside the
           compiled closure; the dispatcher sets it from the remaining
           fuel before a deferred entry and reads back the unused count.
           Safe as shared state because deferred execution is atomic:
           every tick below the horizon takes the fast path and cannot
-          run effects, so no other run can interleave mid-spin. *)
+          run effects, so no other run can interleave mid-spin; a run
+          that stops deferring hands its count back in [sret_acc]
+          instead. *)
 }
 (** Execution state shared by all interpreter engines.  Everything
     per-run (pcc, deferred-cycle accumulator) is threaded through the
@@ -64,22 +72,29 @@ val x_jump : int
 
 type block = {
   b_len : int;
-      (** instructions retired by one execution; 0 marks an
-          uncompilable block (out-of-range register operands) that the
-          dispatcher must side-exit instead of running *)
+      (** instructions in the block, the most one trip can retire (a
+          mid-block exit retires fewer, reported in [sret_n]); 0 marks
+          an uncompilable block (out-of-range register operands) that
+          the dispatcher must side-exit instead of running *)
   b_maxcost : int;
       (** worst-case cycle cost, the [Machine.defer_window] argument *)
   b_self : bool;
-      (** the terminator's taken target is this block's own entry: a
+      (** the final instruction jumps back to this block's own entry: a
           tight loop that spins inside the closure, bounded by
-          [ctx.sspins] and the per-trip horizon re-check *)
+          [ctx.sspins] and the per-trip horizon re-check, and left
+          through the final instruction's fall-through or a mid-block
+          exit *)
   b_run : Capability.t -> int -> int;
       (** [b_run pcc acc]: [acc >= 0] enters deferred tick batching
           with [acc] cycles already pending (0 on a fresh entry, more
           when the dispatcher carries a batch across blocks — always
           re-validated against [Machine.defer_window] first);
           [acc = -1] charges every cycle immediately.  Returns an exit
-          code with [sret_acc] set to the still-pending batch (or -1);
+          code with [sret_acc] set to the still-pending batch, or a
+          negative value if nothing is pending — [-1 - n] when a
+          deferred run stopped deferring mid-block with [n] self-loop
+          trips of its [sspins] allowance unused — and [sret_n] to the
+          last trip's retired instructions;
           raises [Trap_exn] / [Memory.Fault] / derivation errors with
           all pending cycles flushed. *)
 }

@@ -1,4 +1,5 @@
 module Cap = Capability
+module Pk = Packed_cap
 
 type access = Read | Write | Exec
 
@@ -264,29 +265,24 @@ let[@inline] store32_off m off v =
   let g2 = (off + 3) lsr 3 in
   if g2 <> g then cap_clear m g2
 
-(* Lossy raw encoding of a capability: cursor in the low word, a packed
-   summary in the high word.  Reading a capability as data observes this,
-   as on hardware. *)
-let raw_encoding c =
-  let meta =
-    (Cap.length c land 0xffff)
-    lor ((match Cap.otype c with
-         | Cap.Otype.Unsealed -> 0
-         | Cap.Otype.Sentry _ -> 1
-         | Cap.Otype.Data d -> d)
-        lsl 16)
-  in
-  (Cap.address c land 0xffffffff, meta)
+(* Lossy raw encoding of a capability: the cursor in the low word; in
+   the high word the length (low half) and the otype (high half, every
+   sentry kind folded to 1).  Reading a capability as data observes
+   this, as on hardware.  Written field by field from ints so the packed
+   store path can encode a register without boxing it. *)
+let write_raw m off ~cursor ~len ~otype_code =
+  (* Unchecked writes: both callers range-check the granule first. *)
+  let otype = if otype_code >= 1 && otype_code <= 5 then 1 else otype_code in
+  set16_le m.data off (cursor land 0xffff);
+  set16_le m.data (off + 2) ((cursor lsr 16) land 0xffff);
+  set16_le m.data (off + 4) (len land 0xffff);
+  set16_le m.data (off + 6) (otype land 0xffff)
 
 let store_cap_priv m ~addr c =
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Write;
   check_range m ~addr ~size:granule_size Write;
-  let lo, hi = raw_encoding c in
-  let off = addr - m.base in
-  Bytes.set_uint16_le m.data off (lo land 0xffff);
-  Bytes.set_uint16_le m.data (off + 2) ((lo lsr 16) land 0xffff);
-  Bytes.set_uint16_le m.data (off + 4) (hi land 0xffff);
-  Bytes.set_uint16_le m.data (off + 6) ((hi lsr 16) land 0xffff);
+  write_raw m (addr - m.base) ~cursor:(Cap.address c) ~len:(Cap.length c)
+    ~otype_code:(Cap.otype_code (Cap.otype c));
   let g = granule_of m addr in
   if Cap.tag c then cap_put m g c else cap_clear m g
 
@@ -376,19 +372,24 @@ let store ~auth m ~addr ~size:sz v =
   check m ~auth ~perm:Perm.Store ~addr ~size:sz Write;
   store_priv m ~addr ~size:sz v
 
-let load_cap ~auth m ~addr =
-  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
+(* [load_cap] after the authority check, which reads nothing of the
+   authority but its permissions. *)
+let load_cap_tail m ~auth_perms ~addr =
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
   let c = load_cap_priv m ~addr in
-  if not (Cap.has_perm Perm.Mem_cap auth) then Cap.clear_tag c
+  if not (Perm.Set.mem Perm.Mem_cap auth_perms) then Cap.clear_tag c
   else
-    let c = Cap.attenuate_loaded ~auth c in
+    let c = Cap.attenuate_loaded_by ~auth_perms c in
     if
       m.load_filter && Cap.tag c
       && contains m (Cap.base c)
       && rev_get m (granule_of m (Cap.base c))
     then Cap.clear_tag c
     else c
+
+let load_cap ~auth m ~addr =
+  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
+  load_cap_tail m ~auth_perms:(Cap.perms auth) ~addr
 
 let store_cap ~auth m ~addr c =
   check m ~auth ~perm:Perm.Store ~addr ~size:granule_size Write;
@@ -399,6 +400,44 @@ let store_cap ~auth m ~addr c =
      && not (Cap.has_perm Perm.Store_local auth)
   then fault (Cap.Permit_violation Perm.Store_local) addr Write;
   store_cap_priv m ~addr c
+
+(* Packed-authority variants for the superblock engine: the authority
+   arrives as its [Packed_cap] meta, base and top slots, read straight
+   from the register file.  [check_cap_packed] is [check] of a granule
+   access on those ints — [Capability.check_access]'s tag, seal,
+   permission and bounds tests, then [check_aligned_filtered]'s
+   alignment and load filter, in that order — so the boxed and packed
+   paths raise the same [Fault].  [pmask] is [perm]'s meta-word bit
+   ([Packed_cap.perm_mask]), precomputed so the hot path tests one
+   mask. *)
+let[@inline] check_cap_packed m ~am ~ab ~at ~perm ~pmask ~addr access =
+  if not (Pk.m_tag am) then fault Cap.Tag_violation addr access;
+  if Pk.m_sealed am then fault Cap.Seal_violation addr access;
+  if am land pmask = 0 then fault (Cap.Permit_violation perm) addr access;
+  if addr < ab || addr + granule_size > at then
+    fault Cap.Bounds_violation addr access;
+  if addr land (granule_size - 1) <> 0 then fault Cap.Bounds_violation addr access;
+  if m.load_filter && contains m ab && rev_get m (granule_of m ab) then
+    fault Cap.Tag_violation addr access
+
+let load_mask = Pk.perm_mask Perm.Load
+let store_mask = Pk.perm_mask Perm.Store
+let mem_cap_mask = Pk.perm_mask Perm.Mem_cap
+
+let load_cap_packed m ~am ~ab ~at ~addr =
+  check_cap_packed m ~am ~ab ~at ~perm:Perm.Load ~pmask:load_mask ~addr Read;
+  load_cap_tail m ~auth_perms:(Perm.Set.of_bits (Pk.m_perm_bits am)) ~addr
+
+let store_untagged_packed m ~am ~ab ~at ~addr ~vm ~vb ~vt ~vc =
+  if Pk.m_tag vm then invalid_arg "Memory.store_untagged_packed: tagged value";
+  check_cap_packed m ~am ~ab ~at ~perm:Perm.Store ~pmask:store_mask ~addr Write;
+  if am land mem_cap_mask = 0 then
+    fault (Cap.Permit_violation Perm.Mem_cap) addr Write;
+  (* [Store_local] only constrains tagged values; [store_cap_priv]'s
+     alignment test already passed in [check_cap_packed]. *)
+  check_range m ~addr ~size:granule_size Write;
+  write_raw m (addr - m.base) ~cursor:vc ~len:(vt - vb) ~otype_code:(Pk.m_otype vm);
+  cap_clear m (granule_of m addr)
 
 let zero ~auth m ~addr ~len =
   if len > 0 then begin

@@ -91,6 +91,24 @@ val store_cap : auth:Capability.t -> t -> addr:int -> Capability.t -> unit
 val zero : auth:Capability.t -> t -> addr:int -> len:int -> unit
 (** Checked zeroing (clears tags). *)
 
+(* Packed authority (the superblock engine's register file) *)
+
+val load_cap_packed : t -> am:int -> ab:int -> at:int -> addr:int -> Capability.t
+(** [load_cap] with the authority given as its {!Packed_cap} meta, base
+    and top slots instead of a boxed capability: the same checks in the
+    same order, the same [Fault], the same result. *)
+
+val store_untagged_packed :
+  t -> am:int -> ab:int -> at:int -> addr:int ->
+  vm:int -> vb:int -> vt:int -> vc:int -> unit
+(** [store_cap] of an untagged value, authority (meta, base, top) and
+    value (meta, base, top, cursor) both given as {!Packed_cap} slots,
+    so neither is boxed.  Runs [store_cap]'s checks in its order — tag,
+    seal, [Store], bounds, alignment, load filter, [Mem_cap], SRAM
+    range — raising the same [Fault], and on success writes the same
+    raw bytes and clears the granule's tag.  Never calls the tag-set
+    hook.  Raises [Invalid_argument] if [vm] has its tag bit set. *)
+
 (* Privileged access (loader, allocator, machine) *)
 
 val load_priv : t -> addr:int -> size:int -> int

@@ -323,6 +323,129 @@ let prop_packed_derivation_equiv =
              traps before any write) *)
           && Cap.equal (Pk.unpack pk src) c)
 
+(* The superblock engine's packed untagged store against the boxed
+   [Memory.store_cap] it replaces.  Authority and value come from the
+   same corner-covering generator (the value with its tag cleared, so
+   unsealed, sentry- and data-sealed raw encodings all occur); memory
+   starts with tagged granules around the target, sometimes a revoked
+   authority base and sometimes the load filter off.  Both sides must
+   raise the same fault or leave byte-identical memory, tags and tag
+   count; a successful store must also write the architectural raw
+   encoding (cursor, length, otype with sentries folded to 1). *)
+let mem_base = 0x2000_0000
+let mem_size = 16 * 1024
+
+let arb_store_case =
+  let seeds5 =
+    QCheck.Gen.(
+      map
+        (fun (a, b, (c, d, e)) -> (a, b, c, d, e))
+        (triple nat nat (triple nat nat nat)))
+  in
+  QCheck.make
+    ~print:(fun (a, v, (imm, env)) ->
+      Printf.sprintf "auth %s; value %s; imm %d; env %d"
+        (Cap.to_string (build_cap a))
+        (Cap.to_string (Cap.clear_tag (build_cap v)))
+        imm env)
+    QCheck.Gen.(
+      triple seeds5 seeds5
+        (pair
+           (* granule offsets around the cursor, sometimes misaligned *)
+           (map
+              (fun k -> (8 * ((k mod 8) - 2)) + if k mod 9 = 0 then 4 else 0)
+              nat)
+           nat))
+
+let prop_packed_untagged_store_equiv =
+  QCheck.Test.make
+    ~name:"packed untagged store == boxed Memory.store_cap" ~count:2000
+    arb_store_case (fun (aseeds, vseeds, (imm, env)) ->
+      let auth =
+        if env mod 3 = 0 then build_cap aseeds
+        else
+          (* a plausible store authority, so most cases reach the write *)
+          let a, b, c, _, _ = aseeds in
+          let base = mem_base + (8 * (a mod 2048)) - 64 in
+          let perms =
+            match c mod 4 with
+            | 0 -> Perm.Set.stack
+            | 1 -> Perm.Set.universe
+            | 2 -> Perm.Set.remove Perm.Mem_cap Perm.Set.read_write
+            | _ -> Perm.Set.read_write
+          in
+          Cap.with_address_unsealed
+            (Cap.make_root ~base ~top:(base + 64 + (8 * (b mod 64))) ~perms)
+            (base + 16 + (8 * (c mod 8)))
+      in
+      let v = Cap.clear_tag (build_cap vseeds) in
+      let addr = Cap.address auth + imm in
+      let mk () =
+        let m = Memory.create ~base:mem_base ~size:mem_size in
+        let filler =
+          Cap.make_root ~base:mem_base ~top:(mem_base + 64)
+            ~perms:Perm.Set.read_write
+        in
+        (* tagged granules around the target (when it is in SRAM) *)
+        let g0 = (addr - mem_base) / 8 in
+        for g = g0 - 2 to g0 + 2 do
+          if g >= 0 && g < mem_size / 8 then
+            Memory.store_cap_priv m ~addr:(mem_base + (8 * g)) filler
+        done;
+        if env land 3 = 1 && Memory.contains m (Cap.base auth) then
+          Memory.set_revoked m ~addr:(Cap.base auth land lnot 7) ~len:8;
+        if env land 12 = 12 then Memory.set_load_filter m false;
+        m
+      in
+      let observe m f =
+        match f m with
+        | () ->
+            let tags = ref [] in
+            Memory.iter_caps m (fun ~addr c -> tags := (addr, c) :: !tags);
+            let bytes =
+              String.init mem_size (fun i ->
+                  Char.chr (Memory.load_priv m ~addr:(mem_base + i) ~size:1))
+            in
+            Ok (bytes, !tags, Memory.tagged_granule_count m)
+        | exception Memory.Fault f -> Error f
+      in
+      let boxed = observe (mk ()) (fun m -> Memory.store_cap ~auth m ~addr v) in
+      let pk = Pk.make 3 in
+      Pk.pack pk 1 auth;
+      Pk.pack pk 2 v;
+      let packed =
+        observe (mk ()) (fun m ->
+            Memory.store_untagged_packed m ~am:(Pk.meta pk 1) ~ab:(Pk.base pk 1)
+              ~at:(Pk.top pk 1) ~addr ~vm:(Pk.meta pk 2) ~vb:(Pk.base pk 2)
+              ~vt:(Pk.top pk 2) ~vc:(Pk.cursor pk 2))
+      in
+      match (boxed, packed) with
+      | Error a, Error b ->
+          a.Memory.cause = b.Memory.cause
+          && a.Memory.addr = b.Memory.addr
+          && a.Memory.access = b.Memory.access
+      | Ok (bytes, tags, n), Ok (bytes', tags', n') ->
+          let half i =
+            Char.code bytes.[addr - mem_base + i]
+            lor (Char.code bytes.[addr - mem_base + i + 1] lsl 8)
+          in
+          let otype =
+            match Cap.otype v with
+            | Cap.Otype.Unsealed -> 0
+            | Cap.Otype.Sentry _ -> 1
+            | Cap.Otype.Data d -> d
+          in
+          String.equal bytes bytes'
+          && List.equal
+               (fun (a, c) (a', c') -> a = a' && Cap.equal c c')
+               tags tags'
+          && n = n'
+          && half 0 = Cap.address v land 0xffff
+          && half 2 = (Cap.address v lsr 16) land 0xffff
+          && half 4 = Cap.length v land 0xffff
+          && half 6 = otype
+      | _ -> false)
+
 let suite =
   List.map Qcheck_seed.to_alcotest
     [
@@ -333,6 +456,7 @@ let suite =
       prop_seal_roundtrip_preserves;
       prop_pack_unpack_bijection;
       prop_packed_derivation_equiv;
+      prop_packed_untagged_store_equiv;
     ]
 
 let () = Alcotest.run "cheriot_cap_props" [ ("capability-algebra", suite) ]

@@ -8,8 +8,13 @@
    exhaustion, sentry jumps) the workloads never reach, plus the corners
    specific to superblock compilation: an IRQ firing mid-block, a fault
    injected mid-block by external hardware, fuel running out inside a
-   block (forced side-exit), and filter-epoch invalidation between two
-   executions of the same warm compiled block. *)
+   block (forced side-exit), filter-epoch invalidation between two
+   executions of the same warm compiled block, and multi-exit blocks —
+   a self-loop that leaves through a mid-block branch, with fuel running
+   out after that branch.  Every program runs twice per engine: traced
+   (the Obs event stream is compared, and an attached ring turns off
+   deferred tick batching) and untraced (deferral on), and the final
+   SRAM bytes and tags are compared too. *)
 
 module Cap = Capability
 
@@ -28,7 +33,12 @@ let fast_engines = [ `Predecode; `Superblock ]
 
 (* Registers 1..5 are scratch integers, 6 is a data capability over
    SRAM, 7 a deliberately narrow data capability, 8 a sentry back to the
-   code segment.  Branch targets come from a fixed label pool placed at
+   code segment, 9 a data-sealed capability, 10 an authority whose base
+   granule is revoked (the load filter refuses it), 11 a stack-like
+   capability (no Global, Store_local), 13 a load-only one without
+   Load_global/Load_mutable (loads through it attenuate), 14 a data one
+   without Mem_cap.  SRAM starts with tagged capabilities in its first
+   granules.  Branch targets come from a fixed label pool placed at
    random positions, so [Isa.assemble] always validates. *)
 
 let n_labels = 4
@@ -37,7 +47,12 @@ let gen_instr rng labels =
   let reg () = 1 + Random.State.int rng 5 in
   let label () = List.nth labels (Random.State.int rng (List.length labels)) in
   let small () = Random.State.int rng 64 - 8 in
-  match Random.State.int rng 100 with
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let cap_off () =
+    (8 * Random.State.int rng 16) + if Random.State.int rng 8 = 0 then 4 else 0
+  in
+  let cap_auth () = pick [| 6; 6; 6; 7; 8; 9; 10; 11; 13; 14 |] in
+  match Random.State.int rng 112 with
   | n when n < 10 -> Isa.Li (reg (), Random.State.int rng 1000)
   | n when n < 18 -> Isa.Addi (reg (), reg (), small ())
   | n when n < 24 -> Isa.Add (reg (), reg (), reg ())
@@ -63,12 +78,22 @@ let gen_instr rng labels =
   | n when n < 86 -> Isa.Cgetlen (reg (), 7)
   | n when n < 88 -> Isa.Cgettag (reg (), reg ())
   | n when n < 90 -> Isa.Cgetperm (reg (), 6)
-  | n when n < 92 -> Isa.Ccleartag (reg (), reg ())
+  | n when n < 92 ->
+      (* sealed sources make sealed untagged values for Csc to store *)
+      Isa.Ccleartag (reg (), pick [| reg (); 8; 9 |])
   | n when n < 94 -> Isa.Cjal (reg (), label ())
   | n when n < 96 -> Isa.Auipcc (reg (), label ())
   | n when n < 97 -> Isa.Cjalr (reg (), 8)
   | n when n < 98 -> Isa.Trapif "generated"
-  | _ -> Isa.Halt
+  | n when n < 100 -> Isa.Halt
+  | n when n < 107 ->
+      (* untagged sources (r0, an integer, a cleared tag) take the
+         packed store path, tagged ones the boxed path; authorities
+         are wide, narrow, sealed, filter-revoked, stack-like, load-only
+         or without Mem_cap, at granule offsets with an occasional
+         misalignment *)
+      Isa.Csc (pick [| 0; 0; reg (); reg (); 6; 9; 11 |], cap_off (), cap_auth ())
+  | _ -> Isa.Clc (reg (), cap_off (), cap_auth ())
 
 let gen_program rng =
   let len = 8 + Random.State.int rng 32 in
@@ -99,6 +124,7 @@ type snapshot = {
   s_cycles : int;
   s_regs : string list;
   s_events : string list;
+  s_mem : string list;  (** digest of the first KiB of SRAM, then its tags *)
 }
 
 let outcome_to_string = function
@@ -106,26 +132,86 @@ let outcome_to_string = function
   | Interp.Exited c -> "exited " ^ Cap.to_string c
   | Interp.Trapped tr -> Fmt.str "%a" Interp.pp_trap tr
 
+let mem_view machine =
+  let mem = Machine.mem machine in
+  let sram = Machine.sram_base machine in
+  let bytes =
+    String.init 1024 (fun i ->
+        Char.chr (Memory.load_priv mem ~addr:(sram + i) ~size:1))
+  in
+  let tags = ref [] in
+  Memory.iter_caps mem (fun ~addr c ->
+      tags := Printf.sprintf "%x=%s" addr (Cap.to_string c) :: !tags);
+  Digest.to_hex (Digest.string bytes)
+  :: string_of_int (Memory.tagged_granule_count mem)
+  :: List.rev !tags
+
 let view machine obs interp outcome =
   {
     s_outcome = outcome_to_string outcome;
     s_instret = Interp.instret interp;
     s_cycles = Machine.cycles machine;
     s_regs = Array.to_list (Array.map Cap.to_string (Interp.read_regs interp));
-    s_events = List.map (Fmt.str "%a" Obs.pp_event) (Obs.events obs);
+    s_events =
+      (match obs with
+      | Some o -> List.map (Fmt.str "%a" Obs.pp_event) (Obs.events o)
+      | None -> []);
+    s_mem = mem_view machine;
   }
 
-let run_one ~engine ~fuel prog =
+(* A traced machine records the Obs stream; an untraced one runs with
+   deferred tick batching enabled. *)
+let traced_machine traced =
   let machine = Machine.create () in
-  let obs = Obs.create () in
-  Machine.set_trace machine (Some obs);
-  let interp = Interp.create ~engine machine in
-  Interp.map_segment interp ~base:code_base prog;
+  let obs = if traced then Some (Obs.create ()) else None in
+  Machine.set_trace machine obs;
+  (machine, obs)
+
+(* The data registers (r6, r7, r9-r11, r13, r14) and the initial SRAM
+   image described above [gen_instr]. *)
+let setup_data machine interp =
   let sram = Machine.sram_base machine in
-  Interp.set_reg interp 6
-    @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
+  let mem = Machine.mem machine in
+  let rw = Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write in
+  let stack =
+    Cap.make_root ~base:(sram + 256) ~top:(sram + 512) ~perms:Perm.Set.stack
+  in
+  let key =
+    Cap.with_address_unsealed
+      (Cap.make_sealing_root ~first:Cap.Otype.data_first
+         ~last:Cap.Otype.data_last)
+      Cap.Otype.data_first
+  in
+  Interp.set_reg interp 6 rw;
   Interp.set_reg interp 7
     @@ Cap.make_root ~base:(sram + 64) ~top:(sram + 96) ~perms:Perm.Set.read_write;
+  Interp.set_reg interp 9
+    @@ Cap.exn (Cap.seal ~key (Cap.with_address_unsealed rw (sram + 128)));
+  Interp.set_reg interp 10
+    @@ Cap.make_root ~base:(sram + 512) ~top:(sram + 640) ~perms:Perm.Set.read_write;
+  Interp.set_reg interp 11 stack;
+  Interp.set_reg interp 13
+    @@ Cap.make_root ~base:sram ~top:(sram + 256)
+         ~perms:(Perm.Set.of_list [ Perm.Load; Perm.Mem_cap ]);
+  Interp.set_reg interp 14
+    @@ Cap.make_root ~base:sram ~top:(sram + 256)
+         ~perms:(Perm.Set.of_list [ Perm.Load; Perm.Store; Perm.Global ]);
+  Memory.set_revoked mem ~addr:(sram + 512) ~len:8;
+  for g = 0 to 15 do
+    Memory.store_cap_priv mem ~addr:(sram + (8 * g))
+      (if g land 1 = 0 then rw else stack)
+  done
+
+(* Run [prog] from its entry sentry (also left in r8) on a fresh
+   machine, handing the machine to [setup] first so a corner can arm
+   its own perturbation; [setup]'s result reads back side observations
+   after the run. *)
+let run_rig ~traced ~engine ?(fuel = 100_000) prog setup =
+  let machine, obs = traced_machine traced in
+  let interp = Interp.create ~engine machine in
+  Interp.map_segment interp ~base:code_base prog;
+  setup_data machine interp;
+  let extra = setup machine in
   let pcc =
     Cap.make_root ~base:code_base
       ~top:(code_base + Isa.code_bytes prog)
@@ -134,7 +220,9 @@ let run_one ~engine ~fuel prog =
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
   Interp.set_reg interp 8 @@ entry;
   let outcome = Interp.run ~fuel interp entry in
-  view machine obs interp outcome
+  (view machine obs interp outcome, extra ())
+
+let no_setup _ () = []
 
 let diff_views what oracle fast =
   let same l = String.concat "; " l in
@@ -152,14 +240,25 @@ let diff_views what oracle fast =
       (same fast.s_regs) (same oracle.s_regs);
   if fast.s_events <> oracle.s_events then
     QCheck.Test.fail_reportf "%s trace events:@.%s@.vs@.%s" what
-      (same fast.s_events) (same oracle.s_events)
+      (same fast.s_events) (same oracle.s_events);
+  if fast.s_mem <> oracle.s_mem then
+    QCheck.Test.fail_reportf "%s memory:@.%s@.vs@.%s" what (same fast.s_mem)
+      (same oracle.s_mem)
+
+let mode_name traced = if traced then "traced" else "untraced"
 
 let check_equiv ?(fuel = 2_000) prog =
-  let oracle = run_one ~engine:`Legacy ~fuel prog in
   List.iter
-    (fun engine ->
-      diff_views (engine_name engine) oracle (run_one ~engine ~fuel prog))
-    fast_engines;
+    (fun traced ->
+      let oracle, _ = run_rig ~traced ~engine:`Legacy ~fuel prog no_setup in
+      List.iter
+        (fun engine ->
+          diff_views
+            (engine_name engine ^ " " ^ mode_name traced)
+            oracle
+            (fst (run_rig ~traced ~engine ~fuel prog no_setup)))
+        fast_engines)
+    [ true; false ];
   true
 
 (* ------------------------------------------------------------------ *)
@@ -282,39 +381,34 @@ let loop_prog trips =
       Isa.I Isa.Halt;
     ]
 
-(* Build a rig around [loop_prog] and hand the machine to [setup]
-   before running, so each corner can arm its own perturbation. *)
-let run_loop ~engine ?(fuel = 100_000) ~trips setup =
-  let machine = Machine.create () in
-  let obs = Obs.create () in
-  Machine.set_trace machine (Some obs);
-  let interp = Interp.create ~engine machine in
-  let prog = loop_prog trips in
-  Interp.map_segment interp ~base:code_base prog;
-  let sram = Machine.sram_base machine in
-  Interp.set_reg interp 6
-    @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
-  let extra = setup machine in
-  let pcc =
-    Cap.make_root ~base:code_base
-      ~top:(code_base + Isa.code_bytes prog)
-      ~perms:Perm.Set.executable
+(* Every engine against the legacy oracle, traced and untraced; returns
+   the traced oracle's view. *)
+let check_matrix name ?fuel prog setup =
+  let oracles =
+    List.map
+      (fun traced ->
+        let oracle, oracle_extra =
+          run_rig ~traced ~engine:`Legacy ?fuel prog setup
+        in
+        List.iter
+          (fun engine ->
+            let got, extra = run_rig ~traced ~engine ?fuel prog setup in
+            let what =
+              Printf.sprintf "%s: %s %s" name (engine_name engine)
+                (mode_name traced)
+            in
+            diff_views what oracle got;
+            Alcotest.(check (list (pair int int)))
+              (what ^ " side observations")
+              oracle_extra extra)
+          fast_engines;
+        oracle)
+      [ true; false ]
   in
-  let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-  let outcome = Interp.run ~fuel interp entry in
-  (view machine obs interp outcome, extra ())
+  List.hd oracles
 
 let check_loop_matrix name ?fuel ~trips setup =
-  let oracle, oracle_extra = run_loop ~engine:`Legacy ?fuel ~trips setup in
-  List.iter
-    (fun engine ->
-      let got, extra = run_loop ~engine ?fuel ~trips setup in
-      diff_views (name ^ ": " ^ engine_name engine) oracle got;
-      Alcotest.(check (list (pair int int)))
-        (name ^ " side observations: " ^ engine_name engine)
-        oracle_extra extra)
-    fast_engines;
-  oracle
+  check_matrix name ?fuel (loop_prog trips) setup
 
 let test_irq_mid_block () =
   (* A timer deadline landing mid-trip: the event horizon must stop the
@@ -364,7 +458,7 @@ let test_fuel_inside_block () =
       (check_loop_matrix
          (Printf.sprintf "fuel %d inside block" fuel)
          ~fuel ~trips:200
-         (fun _ -> fun () -> []))
+         no_setup)
   done
 
 let test_epoch_invalidation_between_runs () =
@@ -391,7 +485,7 @@ let test_epoch_invalidation_between_runs () =
     in
     let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
     let go () =
-      view machine obs interp (Interp.run ~fuel:10_000 interp entry)
+      view machine (Some obs) interp (Interp.run ~fuel:10_000 interp entry)
     in
     let warm = go () in
     Memory.set_revoked mem ~addr:sram ~len:8;
@@ -412,6 +506,181 @@ let test_epoch_invalidation_between_runs () =
       diff_views ("epoch revoked: " ^ n) r0 r;
       diff_views ("epoch cleared: " ^ n) c0 c)
     fast_engines
+
+(* ------------------------------------------------------------------ *)
+(* Multi-exit blocks: the switcher's stack-zeroing loop shape, a self- *)
+(* loop (J back to its entry) that leaves through a mid-block Beq and  *)
+(* stores r0 (untagged) over tagged granules on the packed store path. *)
+(* ------------------------------------------------------------------ *)
+
+let zero_prog ?(auth = 6) bytes =
+  Isa.assemble ~name:"zero"
+    [
+      Isa.I (Isa.Cgetaddr (1, auth));
+      Isa.I (Isa.Addi (3, 1, bytes));
+      Isa.I (Isa.Mv (12, auth));
+      Isa.L "zero_loop";
+      Isa.I (Isa.Cgetaddr (2, 12));
+      Isa.I (Isa.Beq (2, 3, "zero_done"));
+      Isa.I (Isa.Csc (0, 0, 12));
+      Isa.I (Isa.Csc (0, 8, 12));
+      Isa.I (Isa.Cincaddrimm (12, 12, 16));
+      Isa.I (Isa.J "zero_loop");
+      Isa.L "zero_done";
+      Isa.I Isa.Halt;
+    ]
+
+let test_zero_loop_shape () =
+  (* The loop compiles to one six-instruction self-looping block; the
+     block entered at the program start runs through the loop's first
+     trip, past the mid-block Beq, to the J. *)
+  let machine = Machine.create () in
+  let interp = Interp.create machine in
+  Interp.map_segment interp ~base:code_base (zero_prog 64);
+  let shape pc = Interp.block_shape interp pc in
+  Alcotest.(check (option (pair int bool)))
+    "loop block" (Some (6, true)) (shape (code_base + 12));
+  Alcotest.(check (option (pair int bool)))
+    "entry block" (Some (9, false)) (shape code_base)
+
+let test_zero_loop_exits () =
+  (* Leave through the mid-block exit after 0, 1 and many trips (also
+     through the stack-like r11), or trap on the packed store path: the
+     window overrunning r6's top, the narrow r7, the filter-revoked
+     r10. *)
+  List.iter
+    (fun (auth, bytes) ->
+      ignore
+        (check_matrix
+           (Printf.sprintf "zero r%d %d bytes" auth bytes)
+           (zero_prog ~auth bytes)
+           no_setup))
+    [ (6, 0); (6, 16); (6, 128); (6, 1024); (6, 1040); (7, 64); (10, 32);
+      (11, 256) ]
+
+let test_zero_loop_fuel () =
+  (* Fuel running out at every point of the run (102 instructions),
+     including just after the mid-block Beq fell through — the budget
+     precondition side-exits and the per-instruction engine traps at the
+     same pc — and just after the final trip left through the Beq,
+     which pins the exit's retired-instruction count. *)
+  for fuel = 1 to 106 do
+    ignore
+      (check_matrix
+         (Printf.sprintf "zero fuel %d" fuel)
+         ~fuel (zero_prog 256)
+         no_setup)
+  done
+
+let test_zero_loop_irq () =
+  (* A timer deadline landing mid-spin: the horizon re-check stops the
+     deferred self-loop short of it, so delivery lands on the oracle's
+     cycle and the remaining trips resume afterwards. *)
+  List.iter
+    (fun at ->
+      let oracle =
+        check_matrix
+          (Printf.sprintf "zero irq at %d" at)
+          (zero_prog 512)
+          (fun machine ->
+            let delivered = ref [] in
+            Machine.set_irq_enabled machine true;
+            Machine.set_deliver_hook machine
+              (Some
+                 (fun n ->
+                   delivered := (n, Machine.cycles machine) :: !delivered));
+            Machine.set_timer machine (Some at);
+            fun () -> List.rev !delivered)
+      in
+      Alcotest.(check string) "zeroing completes" "halted" oracle.s_outcome)
+    [ 5; 37; 101; 250 ]
+
+let test_run_inside_self_loop () =
+  (* A self-looping block whose trip writes an MMIO register leaves
+     deferred batching mid-trip (devices see the live clock), and the
+     device raises an interrupt, so the next real tick delivers it — to
+     a hook that runs another self-looping program on the same
+     interpreter, as a preempting thread's switcher run would.  That
+     nested run reuses the shared spin counter; the outer run's fuel
+     accounting must not depend on it.  Fuel runs out mid-loop, so a
+     miscount moves the trap (or removes it). *)
+  let nested =
+    Isa.assemble ~name:"nested"
+      [
+        Isa.I (Isa.Li (4, 0));
+        Isa.I (Isa.Li (5, 500));
+        Isa.L "inner";
+        Isa.I (Isa.Addi (4, 4, 1));
+        Isa.I (Isa.Bne (4, 5, "inner"));
+        Isa.I Isa.Halt;
+      ]
+  in
+  let outer =
+    Isa.assemble ~name:"outer"
+      [
+        Isa.I (Isa.Li (1, 0));
+        Isa.I (Isa.Li (3, 1000));
+        Isa.L "loop";
+        Isa.I (Isa.Addi (1, 1, 1));
+        Isa.I (Isa.Sw (1, 0, 15));
+        Isa.I (Isa.Bne (1, 3, "loop"));
+        Isa.I Isa.Halt;
+      ]
+  in
+  let mmio = 0x1000_0000 in
+  List.iter
+    (fun (traced, fuel, trigger) ->
+      let run engine =
+        let machine, obs = traced_machine traced in
+        let interp = Interp.create ~engine machine in
+        Interp.map_segment interp ~base:code_base outer;
+        let nbase = code_base + 0x1000 in
+        Interp.map_segment interp ~base:nbase nested;
+        setup_data machine interp;
+        Interp.set_reg interp 15
+          (Cap.make_root ~base:mmio ~top:(mmio + 16) ~perms:Perm.Set.read_write);
+        let sentry base prog =
+          Cap.exn
+            (Cap.seal_entry
+               (Cap.make_root ~base ~top:(base + Isa.code_bytes prog)
+                  ~perms:Perm.Set.executable)
+               Cap.Otype.Call_inherit)
+        in
+        (* The device raises IRQ 5 when the loop counter reaches
+           [trigger]; its delivery runs the nested program. *)
+        Machine.add_device machine ~base:mmio ~size:16
+          {
+            Machine.Device.name = "irq-on-write";
+            read = (fun ~addr:_ ~size:_ -> 0);
+            write = (fun ~addr:_ ~size:_ v -> if v = trigger then Machine.raise_irq machine 5);
+          };
+        let inner = ref [] in
+        Machine.set_irq_enabled machine true;
+        Machine.set_deliver_hook machine
+          (Some
+             (fun _ ->
+               inner :=
+                 outcome_to_string
+                   (Interp.run ~fuel:10_000 interp (sentry nbase nested))
+                 :: !inner));
+        let outcome = Interp.run ~fuel interp (sentry code_base outer) in
+        (view machine obs interp outcome, !inner)
+      in
+      let oracle, oracle_inner = run `Legacy in
+      Alcotest.(check int) "nested run happened" 1 (List.length oracle_inner);
+      List.iter
+        (fun engine ->
+          let got, inner = run engine in
+          let what =
+            Printf.sprintf "nested run (fuel %d, trigger %d): %s %s" fuel
+              trigger (engine_name engine) (mode_name traced)
+          in
+          diff_views what oracle got;
+          Alcotest.(check (list string)) (what ^ " inner") oracle_inner inner)
+        fast_engines)
+    (List.concat_map
+       (fun traced -> [ (traced, 200, 10); (traced, 200, 50); (traced, 5_000, 100) ])
+       [ true; false ])
 
 let () =
   Alcotest.run "cheriot_interp_equiv"
@@ -434,5 +703,17 @@ let () =
             test_fuel_inside_block;
           Alcotest.test_case "epoch invalidation between runs" `Quick
             test_epoch_invalidation_between_runs;
+        ] );
+      ( "multi-exit blocks",
+        [
+          Alcotest.test_case "zero loop is one self-looping block" `Quick
+            test_zero_loop_shape;
+          Alcotest.test_case "zero loop exits and traps" `Quick
+            test_zero_loop_exits;
+          Alcotest.test_case "fuel exhausted after a mid-block branch" `Quick
+            test_zero_loop_fuel;
+          Alcotest.test_case "IRQ mid zero loop" `Quick test_zero_loop_irq;
+          Alcotest.test_case "run nested inside a self-loop" `Quick
+            test_run_inside_self_loop;
         ] );
     ]

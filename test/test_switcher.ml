@@ -200,6 +200,24 @@ let test_sealed_export_not_directly_usable () =
   in
   run ()
 
+let test_zeroing_loops_are_single_blocks () =
+  (* Stack zeroing dominates the call cost; the superblock compiler must
+     keep each zeroing loop (Cgetaddr; Beq out; Csc; Csc; Cincaddrimm;
+     J back) one self-looping block so it spins under deferred tick
+     batching.  A compiler change that splits either loop fails here. *)
+  let interp = Interp.create (Machine.create ()) in
+  Switcher.install interp;
+  List.iter
+    (fun label ->
+      let pc =
+        Abi.switcher_code_base + (4 * Isa.label_index Switcher.program label)
+      in
+      Alcotest.(check (option (pair int bool)))
+        (label ^ " is one 6-instruction self-looping block")
+        (Some (6, true))
+        (Interp.block_shape interp pc))
+    [ "zero_call_loop"; "zero_ret_loop" ]
+
 let suite =
   [
     Alcotest.test_case "callee register state" `Quick test_callee_register_state;
@@ -209,6 +227,8 @@ let suite =
     Alcotest.test_case "trusted stack exhaustion" `Quick test_trusted_stack_exhaustion;
     Alcotest.test_case "switcher is small" `Quick test_switcher_is_small;
     Alcotest.test_case "sealed exports opaque" `Quick test_sealed_export_not_directly_usable;
+    Alcotest.test_case "zeroing loops are single blocks" `Quick
+      test_zeroing_loops_are_single_blocks;
   ]
 
 let () = Alcotest.run "cheriot_switcher" [ ("switcher", suite) ]
