@@ -1278,16 +1278,7 @@ let replay_cmd args =
    attached (network world, armed timer): arithmetic, a store and a load
    per iteration, so the instruction-dispatch, memory and tick paths are
    all on the measured loop. *)
-let engine_name = function
-  | `Legacy -> "legacy"
-  | `Predecode -> "predecode"
-  | `Superblock -> "superblock"
-
-let engine_of_name = function
-  | "legacy" -> Some `Legacy
-  | "predecode" -> Some `Predecode
-  | "superblock" -> Some `Superblock
-  | _ -> None
+let engine_name = function `Legacy -> "legacy" | `Superblock -> "superblock"
 
 (* One tight-loop rig: machine + interpreter + entry sentry for the
    7-instruction spin program.  The program (re)initializes its own
@@ -1446,29 +1437,22 @@ let perf_json () =
               | _ -> ())
             cur)
 
-(* `bench -- perf [--engine E] [--compare]`: the tight-loop ns/instr
-   measurement, parameterized by back-end.  --compare prints all three
-   engines with ratios against the slowest, so BENCH_core.json rolls
-   need no manual before/after bookkeeping. *)
+(* `bench -- perf [--compare]`: the tight-loop ns/instr of the
+   superblock engine; --compare times both engines in one process, with
+   the superblock's speedup over the legacy stepper, so BENCH_core.json
+   rolls need no manual before/after bookkeeping. *)
 let perf_cmd args =
-  let rec parse engine compare = function
-    | [] -> (engine, compare)
-    | "--compare" :: rest -> parse engine true rest
-    | "--engine" :: e :: rest -> (
-        match engine_of_name e with
-        | Some eng -> parse (Some eng) compare rest
-        | None ->
-            Fmt.epr "perf: unknown engine %s (legacy|predecode|superblock)@." e;
-            exit 1)
+  let compare =
+    match args with
+    | [] -> false
+    | [ "--compare" ] -> true
     | a :: _ ->
         Fmt.epr "perf: unknown argument %s@." a;
-        Fmt.epr "usage: bench -- perf [--engine legacy|predecode|superblock] [--compare]@.";
+        Fmt.epr "usage: bench -- perf [--compare]@.";
         exit 1
   in
-  let engine, compare = parse None false args in
   if compare then begin
     section "ns/instr on the tight loop, by engine";
-    let engines = [ `Legacy; `Predecode; `Superblock ] in
     (* Cold run for the ns/instr number (comparable to the committed
        baseline), warm run for the steady-state GC counters. *)
     let results =
@@ -1478,7 +1462,7 @@ let perf_cmd args =
           let ns, _, _ = tight_run rig in
           let _, minor, promoted = tight_run rig in
           (e, (ns, minor, promoted)))
-        engines
+        [ `Legacy; `Superblock ]
     in
     let _, (slowest, _, _) = List.hd results in
     List.iter
@@ -1487,35 +1471,17 @@ let perf_cmd args =
           "  %-12s %6.1f ns/instr   %5.2fx vs legacy   %8.4f minor w/i   \
            %8.4f promoted w/i@."
           (engine_name e) ns (slowest /. ns) minor promoted)
-      results;
-    match
-      ( List.assoc_opt `Predecode results,
-        List.assoc_opt `Superblock results )
-    with
-    | Some (p, _, _), Some (s, _, _) when s > 0. ->
-        Fmt.pr "  superblock is %.2fx vs predecode@." (p /. s)
-    | _ -> ()
+      results
   end
-  else begin
-    let e = match engine with Some e -> e | None -> `Superblock in
-    Fmt.pr "%s: %.1f ns/instr@." (engine_name e) (ns_per_instr ~engine:e ())
-  end
+  else Fmt.pr "superblock: %.1f ns/instr@." (ns_per_instr ())
 
 (* `bench -- perf-gate`: CI regression gate.  Fails unless the
-   superblock engine beats predecode on the tight loop by at least
-   PERF_GATE_MIN_RATIO (default 1.5; override for slow or noisy CI
-   hosts).  Best-of-3 per engine to shrug off scheduler noise. *)
+   superblock engine beats the legacy stepper on the tight loop by at
+   least [perf_gate_min_ratio].  Best-of-3 per engine to shrug off
+   scheduler noise. *)
+let perf_gate_min_ratio = 3.0
+
 let perf_gate_cmd _args =
-  let min_ratio =
-    match Sys.getenv_opt "PERF_GATE_MIN_RATIO" with
-    | None -> 1.5
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some r when r > 0. -> r
-        | _ ->
-            Fmt.epr "perf-gate: bad PERF_GATE_MIN_RATIO %S@." s;
-            exit 1)
-  in
   let best engine =
     let m = ref infinity in
     for _ = 1 to 3 do
@@ -1523,14 +1489,14 @@ let perf_gate_cmd _args =
     done;
     !m
   in
-  let pre = best `Predecode in
+  let leg = best `Legacy in
   let sup = best `Superblock in
-  let ratio = pre /. sup in
-  Fmt.pr "perf-gate: predecode %.1f ns/instr, superblock %.1f ns/instr, ratio %.2fx (min %.2fx)@."
-    pre sup ratio min_ratio;
-  if ratio < min_ratio then begin
-    Fmt.epr "perf-gate: FAIL — superblock is only %.2fx over predecode (need %.2fx)@."
-      ratio min_ratio;
+  let ratio = leg /. sup in
+  Fmt.pr "perf-gate: legacy %.1f ns/instr, superblock %.1f ns/instr, ratio %.2fx (min %.2fx)@."
+    leg sup ratio perf_gate_min_ratio;
+  if ratio < perf_gate_min_ratio then begin
+    Fmt.epr "perf-gate: FAIL — superblock is only %.2fx over legacy (need %.2fx)@."
+      ratio perf_gate_min_ratio;
     exit 1
   end
 
@@ -1539,12 +1505,12 @@ let perf_gate_cmd _args =
    allocation per instruction — and for the compartment-call path built
    on it.  The first run of the rig pays one-time
    costs (segment decode, superblock compilation, memo-cache fill); the
-   second run must stay under ALLOC_GATE_MAX_WORDS minor words per
-   instruction (default 0.01 — any real per-instruction allocation
-   costs at least 2 words, so the gate has ~200x margin while leaving
-   headroom for O(1) entry/exit boxing).  The fallback engines are
-   reported for context but not gated: their Lw/Sw arms must still
-   materialize a boxed authority capability for Machine.load/store.
+   second run must stay under 0.01 minor words per instruction (any
+   real per-instruction allocation costs at least 2 words, so the gate
+   has ~200x margin while leaving headroom for O(1) entry/exit boxing).
+   The legacy stepper is reported for context but not gated: its Lw/Sw
+   arms materialize a boxed authority capability for
+   Machine.load/store.
 
    Call rows: warm minor words per [Kernel.call1] round trip at 64 B
    and 1024 B of callee stack need, each at most 450 (the measured 384
@@ -1606,28 +1572,16 @@ let call_words_per_trip () =
   !words
 
 let alloc_gate_cmd _args =
-  let max_words =
-    match Sys.getenv_opt "ALLOC_GATE_MAX_WORDS" with
-    | None -> 0.01
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v when v > 0. -> v
-        | _ ->
-            Fmt.epr "alloc-gate: bad ALLOC_GATE_MAX_WORDS %S@." s;
-            exit 1)
-  in
+  let max_words = 0.01 in
   let steady engine =
     let rig = tight_rig ~engine () in
     ignore (tight_run rig);
     let _, minor, promoted = tight_run rig in
     (minor, promoted)
   in
-  List.iter
-    (fun engine ->
-      let minor, promoted = steady engine in
-      Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (ungated)@."
-        (engine_name engine) minor promoted)
-    [ `Legacy; `Predecode ];
+  let minor, promoted = steady `Legacy in
+  Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (ungated)@."
+    (engine_name `Legacy) minor promoted;
   let minor, promoted = steady `Superblock in
   Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (max %.3f)@."
     (engine_name `Superblock) minor promoted max_words;
@@ -1755,16 +1709,16 @@ let subcommands : (string * string * (string list -> unit)) list =
        verification, or bisect two journals",
       replay_cmd );
     ( "perf",
-      "perf [--engine legacy|predecode|superblock] [--compare]: tight-loop \
-       ns/instr for one engine, or a ratio table over all three",
+      "perf [--compare]: tight-loop ns/instr of the superblock engine, or \
+       a table of both engines with the speedup over legacy",
       perf_cmd );
     ( "perf-gate",
-      "perf-gate: fail unless superblock beats predecode by \
-       PERF_GATE_MIN_RATIO (default 1.5x) on the tight loop",
+      "perf-gate: fail unless superblock beats legacy by 3x on the tight \
+       loop",
       perf_gate_cmd );
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
-       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction and \
+       0.01 minor words per instruction and \
        a compartment call at most 450, with 1024 B of stack zeroing \
        adding at most 64",
       alloc_gate_cmd );

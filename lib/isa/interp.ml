@@ -2,27 +2,23 @@ module Cap = Capability
 module Sb = Superblock
 module Pk = Packed_cap
 
-(* Decode-once front-end: each segment lazily materializes an array of
-   pre-decoded slots — the instruction plus its resolved absolute branch
-   target — so the hot loop replaces per-step label hashing and the old
-   one-entry branch cache with a plain array index.  [dec] is built on
-   first execution and belongs to the segment: segments never unmap, and
-   [map_segment] rejects overlap, so a slot's resolved target can never
-   go stale while the segment is mapped.  [blk] is the superblock cache:
-   one compiled block per possible entry slot, also lazy.  Both are pure
-   caches of the immutable program (block closures re-validate anything
-   mutable through the filter epoch), so they stay valid across snapshot
+(* Each segment lazily materializes [dec], its pre-decoded slots
+   ([Superblock.decode]: the instruction plus its resolved absolute
+   branch target), and [blk], the superblock cache: one compiled block
+   per possible entry slot.  Both belong to the segment: segments never
+   unmap, and [map_segment] rejects overlap, so a resolved target can
+   never go stale while the segment is mapped.  Both are pure caches of
+   the immutable program (block closures re-validate anything mutable
+   through the filter epoch), so they stay valid across snapshot
    restore. *)
-type dslot = Sb.dslot = { d_ins : Isa.instr; d_target : int }
-
 type segment = {
   seg_base : int;
   prog : Isa.program;
-  mutable dec : dslot array option;
+  mutable dec : Sb.dslot array option;
   mutable blk : Sb.block option array option;
 }
 
-type engine = [ `Legacy | `Predecode | `Superblock ]
+type engine = [ `Legacy | `Superblock ]
 
 type t = {
   machine : Machine.t;
@@ -31,7 +27,7 @@ type t = {
   mutable last_seg : segment option;  (* one-entry fetch cache *)
   mutable br_pc : int;  (* legacy one-entry branch-target cache: pc ... *)
   mutable br_target : int;  (* ... -> resolved absolute target *)
-  sb : Sb.ctx;  (* register file, specials, instret — shared by all engines *)
+  sb : Sb.ctx;  (* register file, specials, instret — shared by both engines *)
 }
 
 type trap_cause = Sb.trap_cause =
@@ -67,7 +63,7 @@ let create ?(engine = `Superblock) machine =
   (* Register file (one flat int array), special registers, retired-
      instruction counter and the segment map are the interpreter's whole
      mutable surface; the per-segment [dec]/[blk] arrays are pure caches
-     of immutable programs (all engines restore identically: compiled
+     of immutable programs (both engines restore identically: compiled
      blocks re-validate their memoized filter checks because [Memory]'s
      restore bumps the filter epoch). *)
   Machine.on_snapshot machine (fun () ->
@@ -90,7 +86,6 @@ let create ?(engine = `Superblock) machine =
   t
 
 let machine t = t.machine
-let engine t = t.engine
 
 let seg_end s = s.seg_base + Isa.code_bytes s.prog
 
@@ -150,8 +145,8 @@ let apply_jump_target = Sb.apply_jump_target
 (* Resolve a branch label to an absolute target.  A given pc always
    resolves the same label to the same address (segments never unmap and
    cannot overlap), so a one-entry cache keyed on pc removes the string
-   hash from hot loop back-edges.  Only the legacy path uses this; the
-   pre-decoded path carries the resolved target in its slot. *)
+   hash from hot loop back-edges.  Only the legacy stepper uses this;
+   compiled blocks carry the resolved target in their slots. *)
 let resolve_label t seg pc label =
   if t.br_pc = pc then t.br_target
   else begin
@@ -161,34 +156,18 @@ let resolve_label t seg pc label =
     addr
   end
 
-(* Materialize the decoded array for a segment: one slot per word, label
-   operands resolved to absolute addresses.  [assemble] already verified
-   that every referenced label exists, so resolution is total. *)
 let materialize seg =
   match seg.dec with
   | Some d -> d
   | None ->
-      let resolve l = seg.seg_base + (4 * Isa.label_index seg.prog l) in
-      let d =
-        Array.init (Isa.length seg.prog) (fun i ->
-            let ins = Isa.instr_at seg.prog i in
-            let tgt =
-              match ins with
-              | Isa.Beq (_, _, l)
-              | Isa.Bne (_, _, l)
-              | Isa.Bltu (_, _, l)
-              | Isa.Bgeu (_, _, l)
-              | Isa.J l
-              | Isa.Cjal (_, l)
-              | Isa.Auipcc (_, l) ->
-                  resolve l
-              | _ -> -1
-            in
-            { d_ins = ins; d_target = tgt })
-      in
+      let d = Sb.decode seg.prog ~base:seg.seg_base in
       seg.dec <- Some d;
       d
 
+(* The legacy stepper, the executable spec: fetch, check and execute
+   one instruction with every check re-derived from scratch.  Kept
+   deliberately plain — the superblock engine is checked against it and
+   side-exits into it, so it must not grow fast paths of its own. *)
 let step t pcc =
   let pc = Cap.address pcc in
   let seg =
@@ -334,215 +313,17 @@ let step t pcc =
       `Next next
   | Isa.Trapif cause -> trap pc (Software cause)
 
-(* The pre-decoded execution engine.  Within one "epoch" — the stretch
-   between control transfers that change pcc — the tag, seal and Execute
-   checks of the per-step [check_access] cannot change (the pcc only
-   moves its cursor), so the per-instruction guard reduces to two range
-   compares: is the pc still inside the current segment, and inside the
-   pcc's bounds?  On either miss the engine falls back to the exact
-   legacy checks so fault causes, ordering and PCs stay bit-identical.
-   The pc is threaded as a plain int; arm bodies read and write the
-   packed register file directly (zero allocation on the ALU, branch,
-   getter and derivation arms); a boxed capability is only materialized
-   where the legacy path observed one at a boundary (memory authority,
-   links, Auipcc, jumps, specials).
-
-   [run_epoch] executes exactly one epoch and reports how it ended: an
-   [outcome], or a control transfer to a new pcc ([`Epoch]) which the
-   caller continues — either [run_fast]'s trampoline (the complete PR 5
-   engine) or the superblock dispatcher's side-exit path, which borrows
-   this engine verbatim whenever a block's preconditions fail. *)
-let run_epoch t pcc0 seg0 pc00 budget0 =
-  let m = t.machine in
-  let sb = t.sb in
-  let pk = sb.Sb.spk in
-  let rec epoch pcc seg pc budget =
-    let dec = materialize seg in
-    let sbase = seg.seg_base and send = seg_end seg in
-    let clo = Cap.base pcc and chi = Cap.top pcc in
-    let rec go pc budget =
-      if budget <= 0 then
-        `Out (Trapped { tcause = Software "out of fuel"; tpc = pc })
-      else if pc < sbase || pc >= send then
-        (* Fell off the segment (or branched out of it): mirror the
-           legacy per-step order — segment lookup first, pcc bounds
-           second (both checked again on epoch re-entry). *)
-        match find_segment t pc with
-        | None -> trap pc (Cap_fault Cap.Bounds_violation)
-        | Some s' -> epoch pcc s' pc budget
-      else if pc < clo || pc + 4 > chi then begin
-        (match Cap.check_access ~perm:Perm.Execute ~addr:pc ~size:4 pcc with
-        | Ok () -> ()
-        | Error v -> trap pc (Cap_fault v));
-        exec pc budget
-      end
-      else exec pc budget
-    and exec pc budget =
-      let slot = Array.unsafe_get dec ((pc - sbase) lsr 2) in
-      Machine.tick m Cost.instr;
-      sb.Sb.sinstret <- sb.Sb.sinstret + 1;
-      if sb.Sb.sinstret land 1023 = 0 && Machine.tracing m then
-        Machine.emit m (Obs.Instr_sample { instret = sb.Sb.sinstret });
-      match slot.d_ins with
-      | Isa.Halt -> `Out Halted
-      | Isa.Li (rd, v) ->
-          Pk.set_int pk rd v;
-          go (pc + 4) (budget - 1)
-      | Isa.Mv (rd, rs) ->
-          Pk.copy pk ~dst:rd ~src:rs;
-          go (pc + 4) (budget - 1)
-      | Isa.Addi (rd, rs, v) ->
-          Pk.set_int pk rd (Pk.cursor pk rs + v);
-          go (pc + 4) (budget - 1)
-      | Isa.Add (rd, a, b) ->
-          Pk.set_int pk rd (Pk.cursor pk a + Pk.cursor pk b);
-          go (pc + 4) (budget - 1)
-      | Isa.Sub (rd, a, b) ->
-          Pk.set_int pk rd (Pk.cursor pk a - Pk.cursor pk b);
-          go (pc + 4) (budget - 1)
-      | Isa.Andi (rd, rs, v) ->
-          Pk.set_int pk rd (Pk.cursor pk rs land v);
-          go (pc + 4) (budget - 1)
-      | Isa.Beq (a, b, _) ->
-          go
-            (if Pk.cursor pk a = Pk.cursor pk b then slot.d_target else pc + 4)
-            (budget - 1)
-      | Isa.Bne (a, b, _) ->
-          go
-            (if Pk.cursor pk a <> Pk.cursor pk b then slot.d_target else pc + 4)
-            (budget - 1)
-      | Isa.Bltu (a, b, _) ->
-          go
-            (if Pk.cursor pk a < Pk.cursor pk b then slot.d_target else pc + 4)
-            (budget - 1)
-      | Isa.Bgeu (a, b, _) ->
-          go
-            (if Pk.cursor pk a >= Pk.cursor pk b then slot.d_target else pc + 4)
-            (budget - 1)
-      | Isa.J _ -> go slot.d_target (budget - 1)
-      | Isa.Lw (rd, imm, rs) ->
-          let auth = get t rs in
-          let v = Machine.load m ~auth ~addr:(Cap.address auth + imm) ~size:4 in
-          Pk.set_int pk rd v;
-          go (pc + 4) (budget - 1)
-      | Isa.Sw (rs2, imm, rs1) ->
-          let auth = get t rs1 in
-          Machine.store m ~auth ~addr:(Cap.address auth + imm) ~size:4
-            (Pk.cursor pk rs2);
-          go (pc + 4) (budget - 1)
-      | Isa.Clc (rd, imm, rs) ->
-          let auth = get t rs in
-          set t rd (Machine.load_cap m ~auth ~addr:(Cap.address auth + imm));
-          go (pc + 4) (budget - 1)
-      | Isa.Csc (rs2, imm, rs1) ->
-          let auth = get t rs1 in
-          Machine.store_cap m ~auth ~addr:(Cap.address auth + imm) (get t rs2);
-          go (pc + 4) (budget - 1)
-      | Isa.Cincaddr (rd, a, b) ->
-          pkres pc (Pk.incr_addr pk ~dst:rd ~src:a (Pk.cursor pk b));
-          go (pc + 4) (budget - 1)
-      | Isa.Cincaddrimm (rd, a, v) ->
-          pkres pc (Pk.incr_addr pk ~dst:rd ~src:a v);
-          go (pc + 4) (budget - 1)
-      | Isa.Csetaddr (rd, a, b) ->
-          pkres pc (Pk.set_addr pk ~dst:rd ~src:a (Pk.cursor pk b));
-          go (pc + 4) (budget - 1)
-      | Isa.Csetbounds (rd, a, b) ->
-          pkres pc (Pk.set_bounds pk ~dst:rd ~src:a (Pk.cursor pk b));
-          go (pc + 4) (budget - 1)
-      | Isa.Csetboundsimm (rd, a, v) ->
-          pkres pc (Pk.set_bounds pk ~dst:rd ~src:a v);
-          go (pc + 4) (budget - 1)
-      | Isa.Candperm (rd, a, mask) ->
-          pkres pc (Pk.and_perms pk ~dst:rd ~src:a (Perm.Set.of_bits mask));
-          go (pc + 4) (budget - 1)
-      | Isa.Cgetaddr (rd, a) ->
-          Pk.set_int pk rd (Pk.cursor pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cgetbase (rd, a) ->
-          Pk.set_int pk rd (Pk.base pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cgetlen (rd, a) ->
-          Pk.set_int pk rd (Pk.length pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cgettag (rd, a) ->
-          Pk.set_int pk rd (Pk.tag_bit pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cgettype (rd, a) ->
-          Pk.set_int pk rd (Pk.otype_code pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cgetperm (rd, a) ->
-          Pk.set_int pk rd (Pk.perm_bits pk a);
-          go (pc + 4) (budget - 1)
-      | Isa.Cseal (rd, a, k) ->
-          pkres pc (Pk.seal pk ~dst:rd ~src:a ~key:k);
-          go (pc + 4) (budget - 1)
-      | Isa.Cunseal (rd, a, k) ->
-          pkres pc (Pk.unseal pk ~dst:rd ~src:a ~key:k);
-          go (pc + 4) (budget - 1)
-      | Isa.Csealentry (rd, a, kind) ->
-          pkres pc (Pk.seal_entry pk ~dst:rd ~src:a (Cap.sentry_code kind));
-          go (pc + 4) (budget - 1)
-      | Isa.Auipcc (rd, _) ->
-          set t rd (cap_result pc (Cap.with_address pcc slot.d_target));
-          go (pc + 4) (budget - 1)
-      | Isa.Cjalr (rd, rs) ->
-          let target = get t rs in
-          let unsealed, back_kind = apply_jump_target m pc target in
-          if rd <> 0 then begin
-            let link =
-              Cap.exn
-                (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) back_kind)
-            in
-            set t rd link
-          end;
-          let pc' = Cap.address unsealed in
-          (match find_segment t pc' with
-          | None -> `Out (Exited unsealed)
-          | Some s' -> `Epoch (unsealed, s', pc', budget - 1))
-      | Isa.Cjal (rd, _) ->
-          if rd <> 0 then begin
-            let kind =
-              if Machine.irq_enabled m then Cap.Otype.Return_enable
-              else Cap.Otype.Return_disable
-            in
-            set t rd
-              (Cap.exn (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) kind))
-          end;
-          go slot.d_target (budget - 1)
-      | Isa.Cspecialrw (rd, idx, rs) ->
-          if not (Cap.has_perm Perm.System_registers pcc) then
-            trap pc (Cap_fault (Cap.Permit_violation Perm.System_registers));
-          let old = sb.Sb.sspec.(idx) in
-          if rs <> 0 then sb.Sb.sspec.(idx) <- get t rs;
-          set t rd old;
-          go (pc + 4) (budget - 1)
-      | Isa.Ccleartag (rd, a) ->
-          Pk.clear_tag pk ~dst:rd ~src:a;
-          go (pc + 4) (budget - 1)
-      | Isa.Trapif cause -> trap pc (Software cause)
-    in
-    go pc budget
-  in
-  epoch pcc0 seg0 pc00 budget0
-
-let run_fast t fuel pcc0 seg0 =
-  let rec drive pcc seg pc budget =
-    match run_epoch t pcc seg pc budget with
-    | `Out o -> o
-    | `Epoch (pcc', seg', pc', budget') -> drive pcc' seg' pc' budget'
-  in
-  drive pcc0 seg0 (Cap.address pcc0) fuel
-
-(* The superblock dispatcher.  Per epoch it caches the pcc's bounds;
-   per block entry it validates the hoisted preconditions — pc inside
-   the segment and the pcc bounds for the whole block, enough fuel to
-   retire every instruction, and a compilable block — then runs the
-   fused closure, deferring tick batching when the block's worst-case
-   cost fits under the event horizon.  Any precondition failure
-   side-exits into [run_epoch], the exact per-instruction engine, for
-   the remainder of the epoch, so fuel traps, mid-block faults and
-   pathological register indices behave bit-identically to PR 5. *)
+(* The superblock dispatcher.  Per epoch — the stretch between control
+   transfers that change pcc — it caches the pcc's bounds; per block
+   entry it validates the hoisted preconditions — pc inside the segment
+   and the pcc bounds for the whole block, and enough fuel to retire
+   every instruction — then runs the fused closure, deferring tick
+   batching when the block's worst-case cost fits under the event
+   horizon.  When a precondition fails it side-exits: it retires exactly
+   one instruction on the legacy [step], which keeps every check, and
+   tries a block again at the next pc.  Fuel-starved and narrow-pcc runs
+   so step one instruction at a time until a whole block fits, and fuel
+   traps and bounds faults behave bit-identically to the spec. *)
 let run_super t fuel pcc0 seg0 =
   let m = t.machine in
   let sb = t.sb in
@@ -585,13 +366,14 @@ let run_super t fuel pcc0 seg0 =
               b
         in
         let len = b.Sb.b_len in
-        if len = 0 || pc < clo || pc + (4 * len) > chi || budget < len then begin
-          (* Side-exit: finish the epoch on the exact per-instruction
-             engine, then resume block dispatch at the next epoch. *)
+        if pc < clo || pc + (4 * len) > chi || budget < len then begin
           pflush pend;
-          match run_epoch t pcc seg pc budget with
-          | `Out o -> o
-          | `Epoch (pcc', seg', pc', budget') -> epoch pcc' seg' pc' budget' (-1)
+          match step t (Cap.with_address_unsealed pcc pc) with
+          | `Next pcc' -> blocks (Cap.address pcc') (budget - 1) (-1)
+          | `Jump target ->
+              sb.Sb.sjump <- target;
+              finish Sb.x_jump (budget - 1) (-1)
+          | `Halt -> Halted
         end
         else begin
           let p0 = if pend >= 0 then pend else 0 in
@@ -663,14 +445,14 @@ let run_super t fuel pcc0 seg0 =
   epoch pcc0 seg0 (Cap.address pcc0) fuel (-1)
 
 let block_shape t pc =
-  match find_segment t pc with
-  | None -> None
-  | Some seg ->
+  Option.map
+    (fun seg ->
       let b =
         Sb.compile t.sb (materialize seg) ~base:seg.seg_base
           ~idx:((pc - seg.seg_base) / 4)
       in
-      if b.Sb.b_len = 0 then None else Some (b.Sb.b_len, b.Sb.b_self)
+      (b.Sb.b_len, b.Sb.b_self))
+    (find_segment t pc)
 
 let run ?(fuel = 1_000_000) t target =
   let rec loop pcc budget =
@@ -692,7 +474,6 @@ let run ?(fuel = 1_000_000) t target =
     | Some seg -> (
         match t.engine with
         | `Superblock -> run_super t fuel unsealed seg
-        | `Predecode -> run_fast t fuel unsealed seg
         | `Legacy -> loop unsealed fuel)
   with
   | Trap_exn tr -> Trapped tr

@@ -13,32 +13,27 @@
 
 type t
 
-type engine = [ `Legacy | `Predecode | `Superblock ]
-(** The three execution back-ends, from slowest to fastest:
-    - [`Legacy]: per-step fetch/decode (the original engine, kept as
-      the equivalence oracle);
-    - [`Predecode]: decode-once front-end — each segment lazily
-      materializes an array of pre-decoded instructions with branch
-      labels resolved to absolute targets, and execution threads a
-      plain integer PC between control transfers;
-    - [`Superblock]: additionally compiles each single-entry,
-      multi-exit run into a fused closure ({!Superblock}) with bounds
-      checks hoisted to
-      block entry, memoized load-filter checks and tick batching under
-      the event horizon, side-exiting to the [`Predecode] engine
-      whenever a block precondition fails.
+type engine = [ `Legacy | `Superblock ]
+(** The two execution back-ends:
+    - [`Legacy]: the executable spec — a plain per-step fetch, decode
+      and check of every instruction, kept deliberately simple as the
+      equivalence oracle;
+    - [`Superblock]: compiles each single-entry, multi-exit run into a
+      fused closure ({!Superblock}) with bounds checks hoisted to block
+      entry, memoized load-filter checks and tick batching under the
+      event horizon.  Whenever a block precondition fails (too little
+      fuel left for the whole block, a pcc too narrow for it) the
+      dispatcher retires exactly one instruction on the [`Legacy]
+      stepper and tries a block again at the next pc.
 
-    All three are observationally identical (registers, cycles,
-    instret, traps, trace events); the equivalence is pinned by the
-    three-way [test_interp_equiv] QCheck matrix. *)
+    Both are observationally identical (registers, cycles, instret,
+    traps, trace events); the equivalence is pinned by the
+    superblock-vs-legacy [test_interp_equiv] QCheck matrix. *)
 
 val create : ?engine:engine -> Machine.t -> t
 (** [engine] defaults to [`Superblock]. *)
 
 val machine : t -> Machine.t
-
-val engine : t -> engine
-(** Which execution back-end this interpreter uses. *)
 
 val map_segment : t -> base:int -> Isa.program -> unit
 (** Map a program at [base] (4 bytes per instruction).  Overlap is a
@@ -100,5 +95,5 @@ val run : ?fuel:int -> t -> Capability.t -> outcome
 val block_shape : t -> int -> (int * bool) option
 (** The superblock the dispatcher enters at this pc, compiled afresh:
     its length in instructions and whether it loops on itself (spins
-    inside the compiled closure).  [None] outside every segment or for
-    an uncompilable block.  For structure tests; runs nothing. *)
+    inside the compiled closure).  [None] outside every segment.  For
+    structure tests; runs nothing. *)

@@ -96,8 +96,34 @@ let assemble ~name items =
     if not (Hashtbl.mem labels l) then
       invalid_arg (Printf.sprintf "assemble %s: undefined label %s" name l)
   in
-  Array.iter
-    (function
+  let check_operands i ins =
+    let range what hi v =
+      if v < 0 || v > hi then
+        invalid_arg
+          (Printf.sprintf "assemble %s: %s %d out of range 0..%d at instruction %d"
+             name what v hi i)
+    in
+    let r = range "register" 15 in
+    match ins with
+    | J _ | Trapif _ | Halt -> ()
+    | Li (a, _) | Auipcc (a, _) | Cjal (a, _) -> r a
+    | Mv (a, b) | Addi (a, b, _) | Andi (a, b, _) | Beq (a, b, _) | Bne (a, b, _)
+    | Bltu (a, b, _) | Bgeu (a, b, _) | Lw (a, _, b) | Sw (a, _, b) | Clc (a, _, b)
+    | Csc (a, _, b) | Cincaddrimm (a, b, _) | Csetboundsimm (a, b, _)
+    | Candperm (a, b, _) | Cgetaddr (a, b) | Cgetbase (a, b) | Cgetlen (a, b)
+    | Cgettag (a, b) | Cgettype (a, b) | Cgetperm (a, b) | Csealentry (a, b, _)
+    | Cjalr (a, b) | Ccleartag (a, b) ->
+        r a; r b
+    | Add (a, b, c) | Sub (a, b, c) | Cincaddr (a, b, c) | Csetaddr (a, b, c)
+    | Csetbounds (a, b, c) | Cseal (a, b, c) | Cunseal (a, b, c) ->
+        r a; r b; r c
+    | Cspecialrw (a, s, b) ->
+        r a; r b; range "special register" 2 s
+  in
+  Array.iteri
+    (fun i ins ->
+      check_operands i ins;
+      match ins with
       | Beq (_, _, l) | Bne (_, _, l) | Bltu (_, _, l) | Bgeu (_, _, l)
       | J l
       | Cjal (_, l)

@@ -95,10 +95,14 @@ type item = I of instr | L of string
 (** Assembler input: instructions and label definitions. *)
 
 type program
+(** Abstract: {!assemble} is the only constructor, so every program's
+    operands are in range — the interpreter's compiled blocks index the
+    register file unchecked on that guarantee. *)
 
 val assemble : name:string -> item list -> program
 (** Resolve labels.  Raises [Invalid_argument] on duplicate or undefined
-    labels. *)
+    labels, register operands outside 0..15 and [Cspecialrw] indices
+    outside 0..2. *)
 
 val name : program -> string
 val length : program -> int

@@ -1,7 +1,7 @@
 module Cap = Capability
 module Pk = Packed_cap
 
-(* Superblock compiler: the third interpreter back-end.
+(* Superblock compiler: the fast interpreter back-end.
 
    A superblock is a single-entry, multi-exit run of pre-decoded slots:
    from its entry (a jump target, or wherever the dispatcher lands) up
@@ -15,7 +15,8 @@ module Pk = Packed_cap
    checks disappear from the hot path: the dispatcher in [Interp]
    validates the whole block's preconditions once at entry (for the
    full length, whichever exit is taken) and either runs the fused
-   closure or side-exits to the exact per-instruction engine.  The
+   closure or side-exits, retiring one instruction on the legacy
+   stepper (the executable spec) before it tries a block again.  The
    switcher's stack-zeroing loops (Cgetaddr; Beq out; Csc; Csc;
    Cincaddrimm; J back) are each one such block that spins on itself.
 
@@ -94,14 +95,35 @@ module Pk = Packed_cap
 
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 
+(* One slot per word, label operands resolved to absolute addresses.
+   [Isa.assemble] already verified that every referenced label exists,
+   so resolution is total. *)
+let decode prog ~base =
+  let resolve l = base + (4 * Isa.label_index prog l) in
+  Array.init (Isa.length prog) (fun i ->
+      let ins = Isa.instr_at prog i in
+      let tgt =
+        match ins with
+        | Isa.Beq (_, _, l)
+        | Isa.Bne (_, _, l)
+        | Isa.Bltu (_, _, l)
+        | Isa.Bgeu (_, _, l)
+        | Isa.J l
+        | Isa.Cjal (_, l)
+        | Isa.Auipcc (_, l) ->
+            resolve l
+        | _ -> -1
+      in
+      { d_ins = ins; d_target = tgt })
+
 type trap_cause = Cap_fault of Cap.violation | Software of string
 
 type trap = { tcause : trap_cause; tpc : int }
 
 exception Trap_exn of trap
 
-(* Shared execution state: the packed register file and counters every
-   engine reads and writes in place.  [sjump] carries a Cjalr target
+(* Shared execution state: the packed register file and counters both
+   engines read and write in place.  [sjump] carries a Cjalr target
    from the terminator closure to the dispatcher, [sret_acc] the
    pending deferred-cycle batch that a block exit hands back instead of
    flushing, and [sret_n] how many instructions that trip retired (each
@@ -145,7 +167,7 @@ let x_halt = -1
 let x_jump = -2
 
 type block = {
-  b_len : int;  (* instructions in the block; 0 = uncompilable, side-exit *)
+  b_len : int;  (* instructions in the block *)
   b_maxcost : int;  (* worst-case cycles: the defer_window precondition *)
   b_self : bool;  (* terminator's taken target is the block's own entry *)
   b_run : Cap.t -> int -> int;  (* pcc -> acc -> exit *)
@@ -221,9 +243,12 @@ let[@inline] retire ctx acc =
    dispatcher must charge a self-loop's fuel by. *)
 let[@inline] undeferred ctx acc = if acc >= 0 then -1 - ctx.sspins else acc
 
-(* Hot-path packed accessors: register indices are proved < 16 at
-   compile time ([okr]), so unsafe indexing is sound.  Register 0 reads
-   all-zero slots (NULL) and the write guard discards stores to it. *)
+(* Hot-path packed accessors.  Unsafe indexing is sound because every
+   slot array comes from [decode] of an [Isa.program], and
+   [Isa.assemble], that type's only constructor, rejects register
+   operands outside 0..15 and special-register indices outside 0..2.
+   Register 0 reads all-zero slots (NULL) and the write guard discards
+   stores to it. *)
 let[@inline] ucur pk r = Array.unsafe_get pk ((r lsl 2) + 3)
 
 let[@inline] uint pk rd v =
@@ -296,14 +321,6 @@ let instr_maxcost = function
   | Isa.Lw _ | Isa.Sw _ | Isa.Clc _ | Isa.Csc _ -> Cost.instr + Cost.mem_cap
   | _ -> Cost.instr
 
-(* An instruction whose register operands fall outside the 16-entry file
-   cannot use the unsafe accessors; such blocks are left uncompiled and
-   the dispatcher side-exits to the per-instruction engine, which
-   preserves the legacy out-of-range behaviour exactly. *)
-exception Unsupported
-
-let okr r = r >= 0 && r < 16
-
 let compile ctx dec ~base ~idx =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
   let n = Array.length dec in
@@ -335,7 +352,7 @@ let compile ctx dec ~base ~idx =
     if j > last then
       (* No terminator before the segment end: fall off; the dispatcher
          re-checks segment and bounds at the returned pc, exactly as the
-         per-instruction engine would on its next step. *)
+         legacy stepper would on its next step. *)
       let fall = base + (4 * j) in
       fun _pcc acc -> leave ctx acc len fall
     else begin
@@ -345,49 +362,42 @@ let compile ctx dec ~base ~idx =
       match slot.d_ins with
       (* --- straight-line instructions: call the continuation --- *)
       | Isa.Li (rd, v) ->
-          if not (okr rd) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd v;
             k pcc acc
       | Isa.Mv (rd, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             ucopy pk rd rs;
             k pcc acc
       | Isa.Addi (rd, rs, v) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk rs + v);
             k pcc acc
       | Isa.Add (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a + ucur pk b);
             k pcc acc
       | Isa.Sub (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a - ucur pk b);
             k pcc acc
       | Isa.Andi (rd, rs, v) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk rs land v);
             k pcc acc
       | Isa.Lw (rd, imm, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let os = rs lsl 2 in
           (* Fill-time value snapshot of the authorising register plus
              the filter epoch and raw word offset; c_t = min_int marks
@@ -472,7 +482,6 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Sw (rs2, imm, rs1) ->
-          if not (okr rs2 && okr rs1) then raise Unsupported;
           let os = rs1 lsl 2 in
           let c_m = ref 0 and c_b = ref 0 and c_t = ref min_int
           and c_c = ref 0 in
@@ -539,7 +548,6 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Clc (rd, imm, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -560,7 +568,6 @@ let compile ctx dec ~base ~idx =
             Pk.pack pk rd v;
             k pcc acc
       | Isa.Csc (rs2, imm, rs1) ->
-          if not (okr rs2 && okr rs1) then raise Unsupported;
           let oa = rs1 lsl 2 and ov = rs2 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -599,42 +606,36 @@ let compile ctx dec ~base ~idx =
               k pcc acc
             end
       | Isa.Cincaddr (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Cincaddrimm (rd, a, v) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a v);
             k pcc acc
       | Isa.Csetaddr (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_addr pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Csetbounds (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Csetboundsimm (rd, a, v) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a v);
             k pcc acc
       | Isa.Candperm (rd, a, mask) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           let pset = Perm.Set.of_bits mask in
           fun pcc acc ->
@@ -642,35 +643,30 @@ let compile ctx dec ~base ~idx =
             pkfx m acc pc (Pk.and_perms pk ~dst:rd ~src:a pset);
             k pcc acc
       | Isa.Cgetaddr (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a);
             k pcc acc
       | Isa.Cgetbase (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.base pk a);
             k pcc acc
       | Isa.Cgetlen (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.length pk a);
             k pcc acc
       | Isa.Cgettag (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.tag_bit pk a);
             k pcc acc
       | Isa.Cgettype (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -679,28 +675,24 @@ let compile ctx dec ~base ~idx =
             uint pk rd (Pk.otype_code pk a);
             k pcc acc
       | Isa.Cgetperm (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.perm_bits pk a);
             k pcc acc
       | Isa.Cseal (rd, a, key) ->
-          if not (okr rd && okr a && okr key) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.seal pk ~dst:rd ~src:a ~key);
             k pcc acc
       | Isa.Cunseal (rd, a, key) ->
-          if not (okr rd && okr a && okr key) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.unseal pk ~dst:rd ~src:a ~key);
             k pcc acc
       | Isa.Csealentry (rd, a, kind) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           let code = Cap.sentry_code kind in
           fun pcc acc ->
@@ -708,7 +700,6 @@ let compile ctx dec ~base ~idx =
             pkfx m acc pc (Pk.seal_entry pk ~dst:rd ~src:a code);
             k pcc acc
       | Isa.Auipcc (rd, _) ->
-          if not (okr rd) then raise Unsupported;
           let k = build (j + 1) in
           let tgt = slot.d_target in
           fun pcc acc ->
@@ -716,8 +707,6 @@ let compile ctx dec ~base ~idx =
             Pk.pack pk rd (capfx m acc pc (Cap.with_address pcc tgt));
             k pcc acc
       | Isa.Cspecialrw (rd, sidx, rs) ->
-          if not (okr rd && okr rs && sidx >= 0 && sidx < 3) then
-            raise Unsupported;
           let k = build (j + 1) in
           let spec = ctx.sspec in
           fun pcc acc ->
@@ -730,7 +719,6 @@ let compile ctx dec ~base ~idx =
             Pk.pack pk rd old;
             k pcc acc
       | Isa.Ccleartag (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -739,7 +727,6 @@ let compile ctx dec ~base ~idx =
       (* --- control flow: mid-block exits and terminators --- *)
       | Isa.Beq (a, b, _) | Isa.Bne (a, b, _) | Isa.Bltu (a, b, _)
       | Isa.Bgeu (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target and fpc = pc + 4 in
           (* One closure per opcode, so the hot path compares two ints
              directly. *)
@@ -800,7 +787,6 @@ let compile ctx dec ~base ~idx =
           end
           else fun _pcc acc -> leave ctx (retire ctx acc) nr tgt
       | Isa.Cjal (rd, _) ->
-          if not (okr rd) then raise Unsupported;
           let tgt = slot.d_target in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -814,7 +800,6 @@ let compile ctx dec ~base ~idx =
             end;
             leave ctx acc nr tgt
       | Isa.Cjalr (rd, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           fun pcc acc ->
             let acc = retire ctx acc in
             flushx m acc;
@@ -837,9 +822,6 @@ let compile ctx dec ~base ~idx =
             trap pc (Software cause)
     end
   in
-  try
-    let f = build idx in
-    head := f;
-    { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }
-  with Unsupported ->
-    { b_len = 0; b_maxcost = 0; b_self = false; b_run = (fun _ _ -> x_halt) }
+  let f = build idx in
+  head := f;
+  { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }

@@ -1,14 +1,15 @@
-(** Superblock compiler: fuses a single-entry, multi-exit run — from a
-    block entry to the next unconditional control transfer or loop
-    back-edge, with other conditional branches as mid-block exits —
-    into a single closure chain, with per-instruction dispatch,
-    segment-range and PCC-bounds checks hoisted to block entry.  The
-    {!Interp} dispatcher validates a block's preconditions once, for
-    its full length, then either runs the fused closure or
-    side-exits to the exact per-instruction engine; compiled blocks are
-    observationally identical to it — registers, cycles, instret, trap
-    cause + PC and the Obs event stream — which the three-way
-    [test_interp_equiv] matrix pins.
+(** Superblock compiler, the fast interpreter back-end: fuses a
+    single-entry, multi-exit run — from a block entry to the next
+    unconditional control transfer or loop back-edge, with other
+    conditional branches as mid-block exits — into a single closure
+    chain, with per-instruction dispatch, segment-range and PCC-bounds
+    checks hoisted to block entry.  The {!Interp} dispatcher validates a
+    block's preconditions once, for its full length, then either runs
+    the fused closure or side-exits, retiring one instruction on the
+    legacy stepper (the executable spec); compiled blocks are
+    observationally identical to that stepper — registers, cycles,
+    instret, trap cause + PC and the Obs event stream — which the
+    superblock-vs-legacy [test_interp_equiv] matrix pins.
 
     The block-precondition invariant (see DESIGN.md): any state a
     compiled block assumes constant must be either epoch-checked (the
@@ -17,9 +18,14 @@
     at block entry (PCC bounds, fuel, the event-horizon window for
     deferred tick batching). *)
 
-type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
+type dslot
 (** One pre-decoded instruction: branch label operands resolved to
     absolute addresses at decode time. *)
+
+val decode : Isa.program -> base:int -> dslot array
+(** The program mapped at [base], one slot per word.  The only source of
+    slots, so every compiled block inherits [Isa.assemble]'s operand
+    range checks. *)
 
 type trap_cause = Cap_fault of Capability.violation | Software of string
 
@@ -56,7 +62,7 @@ type ctx = {
           that stops deferring hands its count back in [sret_acc]
           instead. *)
 }
-(** Execution state shared by all interpreter engines.  Everything
+(** Execution state shared by both interpreter engines.  Everything
     per-run (pcc, deferred-cycle accumulator) is threaded through the
     compiled closures as arguments instead, so a preemption effect
     suspending one run cannot corrupt another. *)
@@ -73,9 +79,7 @@ val x_jump : int
 type block = {
   b_len : int;
       (** instructions in the block, the most one trip can retire (a
-          mid-block exit retires fewer, reported in [sret_n]); 0 marks
-          an uncompilable block (out-of-range register operands) that
-          the dispatcher must side-exit instead of running *)
+          mid-block exit retires fewer, reported in [sret_n]) *)
   b_maxcost : int;
       (** worst-case cycle cost, the [Machine.defer_window] argument *)
   b_self : bool;

@@ -169,13 +169,68 @@ let auto () =
           | Some n when n > 1 -> Some (create ~capacity:n ())
           | _ -> Some (create ())))
 
-(* Cycle attribution: walk the trace charging each inter-event delta to
-   the context that was active while it elapsed.  Per-thread stacks of
-   labels model nesting (thread base -> switcher leg -> callee, possibly
-   recursively); "boot" covers everything before the first scheduling
-   event and "idle" the stretches with an empty run queue.  The deltas
-   plus the final tail partition [0, total_cycles] exactly, so the
-   returned totals always sum to [total_cycles]. *)
+(* The call-stack state machine.  Per-thread stacks of labels model
+   nesting (thread base -> switcher leg -> callee, possibly
+   recursively): a switcher leg pushes "switcher", an abort pops it,
+   entering a callee replaces it, and leaving a callee drops any
+   switcher frames above the callee and then the callee itself. *)
+module Callstack = struct
+  type phase = Boot | Idle | Thread of int
+  type t = { stacks : (int, string list) Hashtbl.t; mutable phase : phase }
+
+  let create () = { stacks = Hashtbl.create 8; phase = Boot }
+  let phase t = t.phase
+  let stack t tid = Option.value (Hashtbl.find_opt t.stacks tid) ~default:[]
+  let top t tid = match stack t tid with [] -> "kernel" | l :: _ -> l
+  let push t tid l = Hashtbl.replace t.stacks tid (l :: stack t tid)
+
+  let pop t tid =
+    match stack t tid with [] -> () | _ :: r -> Hashtbl.replace t.stacks tid r
+
+  (* The label [attribute] charges; the profiler's folded keys end in
+     it. *)
+  let leaf t =
+    match t.phase with Boot -> "boot" | Idle -> "idle" | Thread tid -> top t tid
+
+  let live t tid = match t.phase with Thread c -> c = tid | Boot | Idle -> false
+
+  let step t = function
+    | Thread_dispatch { tid; _ } ->
+        t.phase <- Thread tid;
+        true
+    | Sched_idle ->
+        t.phase <- Idle;
+        true
+    | Switcher_call { tid } | Switcher_return { tid } ->
+        push t tid "switcher";
+        live t tid
+    | Switcher_abort { tid } ->
+        if top t tid = "switcher" then pop t tid;
+        live t tid
+    | Call_enter { callee; tid; _ } ->
+        if top t tid = "switcher" then pop t tid;
+        push t tid callee;
+        live t tid
+    | Call_leave { tid; _ } ->
+        while top t tid = "switcher" do
+          pop t tid
+        done;
+        pop t tid;
+        live t tid
+    | _ -> false
+
+  let snapshot t =
+    let stacks = Hashtbl.copy t.stacks and phase = t.phase in
+    fun () ->
+      Hashtbl.reset t.stacks;
+      Hashtbl.iter (Hashtbl.replace t.stacks) stacks;
+      t.phase <- phase
+end
+
+(* Cycle attribution: walk the trace through the call-stack machine,
+   charging each inter-event delta to the leaf that was live while it
+   elapsed.  The deltas plus the final tail partition [0, total_cycles]
+   exactly, so the returned totals always sum to [total_cycles]. *)
 let attribute ~total_cycles evs =
   let totals = Hashtbl.create 16 in
   let charge label n =
@@ -183,45 +238,14 @@ let attribute ~total_cycles evs =
       Hashtbl.replace totals label
         (n + Option.value (Hashtbl.find_opt totals label) ~default:0)
   in
-  let stacks = Hashtbl.create 8 in
-  let stack tid = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
-  let top tid = match stack tid with [] -> "kernel" | l :: _ -> l in
-  let push tid l = Hashtbl.replace stacks tid (l :: stack tid) in
-  let pop tid =
-    match stack tid with [] -> () | _ :: r -> Hashtbl.replace stacks tid r
-  in
-  let cur = ref "boot" in
-  let cur_tid = ref (-1) in
-  let sync tid = if !cur_tid = tid then cur := top tid in
+  let cs = Callstack.create () in
+  let cur = ref (Callstack.leaf cs) in
   let prev = ref 0 in
   List.iter
     (fun e ->
       charge !cur (e.cycle - !prev);
       prev := e.cycle;
-      match e.kind with
-      | Thread_dispatch { tid; _ } ->
-          cur_tid := tid;
-          cur := top tid
-      | Sched_idle ->
-          cur_tid := -1;
-          cur := "idle"
-      | Switcher_call { tid } | Switcher_return { tid } ->
-          push tid "switcher";
-          sync tid
-      | Switcher_abort { tid } ->
-          if top tid = "switcher" then pop tid;
-          sync tid
-      | Call_enter { callee; tid; _ } ->
-          if top tid = "switcher" then pop tid;
-          push tid callee;
-          sync tid
-      | Call_leave { tid; _ } ->
-          while top tid = "switcher" do
-            pop tid
-          done;
-          pop tid;
-          sync tid
-      | _ -> ())
+      if Callstack.step cs e.kind then cur := Callstack.leaf cs)
     evs;
   charge !cur (total_cycles - !prev);
   Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) totals []

@@ -92,6 +92,36 @@ val ring_cap_env : unit -> int option
 
 (* Post-run folds *)
 
+(** The call-stack state machine behind {!attribute} and the
+    profiler: per-thread stacks of labels (innermost first) plus the
+    scheduling phase.  A switcher leg pushes ["switcher"], an abort pops
+    it, a compartment call replaces it with the callee, and leaving the
+    callee pops it (and any switcher frames above it). *)
+module Callstack : sig
+  type phase = Boot | Idle | Thread of int
+  (** Before the first scheduling event, run queue empty, or running
+      the thread with this id. *)
+
+  type t
+
+  val create : unit -> t
+  (** Phase [Boot], every stack empty. *)
+
+  val step : t -> kind -> bool
+  (** Apply one event: [Thread_dispatch], [Sched_idle], the
+      [Switcher_*] and [Call_*] edges; every other kind is ignored.
+      True when the live context may have changed: the phase moved or
+      the running thread's stack did. *)
+
+  val phase : t -> phase
+
+  val stack : t -> int -> string list
+  (** A thread's labels, innermost first. *)
+
+  val snapshot : t -> unit -> unit
+  (** Copy the machine; the thunk restores it in place. *)
+end
+
 val attribute : total_cycles:int -> event list -> (string * int) list
 (** Fold the trace into per-compartment / per-subsystem cycle totals.
     Each inter-event delta is charged to the context active when it

@@ -3,22 +3,18 @@
    control flow back into the machine.  Ingestion is a couple of
    hashtable updates and integer bumps.
 
-   The stack machine below mirrors Obs.attribute transition for
-   transition (switcher push on call/return edges, pop on abort,
-   enter/leave collapsing the switcher frame), so the leaf of every
-   folded key is exactly the label attribute would charge — the
-   reconciliation invariant test_obs_props pins. *)
+   The call stacks are [Obs.Callstack], the machine [Obs.attribute]
+   folds over, so the leaf of every folded key is exactly the label
+   attribute would charge — the reconciliation invariant test_obs_props
+   pins.  The profiler adds only thread names and folded keys. *)
 
 type mode = Exact | Sampled of int
-
-type phase = Boot | Idle | Thread of int
 
 type t = {
   p_mode : mode;
   counts : (string, int) Hashtbl.t;  (* folded key -> weight *)
-  stacks : (int, string list) Hashtbl.t;  (* per-thread, innermost first *)
+  cs : Obs.Callstack.t;
   thread_names : (int, string) Hashtbl.t;  (* first name seen per tid *)
-  mutable phase : phase;
   mutable cur : string;  (* folded key of the live context *)
   mutable prev : int;  (* cycle up to which charges are settled *)
 }
@@ -31,9 +27,8 @@ let create ?(mode = Exact) () =
   {
     p_mode = mode;
     counts = Hashtbl.create 64;
-    stacks = Hashtbl.create 8;
+    cs = Obs.Callstack.create ();
     thread_names = Hashtbl.create 8;
-    phase = Boot;
     cur = "boot";
     prev = 0;
   }
@@ -48,31 +43,22 @@ let auto () =
       | Some n when n >= 2 -> Some (create ~mode:(Sampled n) ())
       | _ -> Some (create ()))
 
-let stack t tid = Option.value (Hashtbl.find_opt t.stacks tid) ~default:[]
-let top t tid = match stack t tid with [] -> "kernel" | l :: _ -> l
-let push t tid l = Hashtbl.replace t.stacks tid (l :: stack t tid)
-
-let pop t tid =
-  match stack t tid with
-  | [] -> ()
-  | _ :: r -> Hashtbl.replace t.stacks tid r
-
 (* Folded key of the live context: thread name, then the call stack
    outermost-first; an empty stack shows as the kernel (matching
    attribute's label for a thread outside any compartment call). *)
-let key_of t tid =
-  let name =
-    match Hashtbl.find_opt t.thread_names tid with
-    | Some n -> n
-    | None -> Printf.sprintf "thread%d" tid
-  in
-  match stack t tid with
-  | [] -> name ^ ";kernel"
-  | st -> String.concat ";" (name :: List.rev st)
-
-let sync t tid = match t.phase with
-  | Thread cur when cur = tid -> t.cur <- key_of t tid
-  | _ -> ()
+let key t =
+  match Obs.Callstack.phase t.cs with
+  | Obs.Callstack.Boot -> "boot"
+  | Obs.Callstack.Idle -> "idle"
+  | Obs.Callstack.Thread tid -> (
+      let name =
+        match Hashtbl.find_opt t.thread_names tid with
+        | Some n -> n
+        | None -> Printf.sprintf "thread%d" tid
+      in
+      match Obs.Callstack.stack t.cs tid with
+      | [] -> name ^ ";kernel"
+      | st -> String.concat ";" (name :: List.rev st))
 
 (* Weight of the interval (prev, cycle] under the current mode: the
    cycle delta in exact mode, the number of sample points (multiples of
@@ -93,38 +79,16 @@ let charge t cycle =
 
 let ingest t ~cycle kind =
   charge t cycle;
-  match kind with
-  | Obs.Thread_dispatch { tid; name } ->
-      if not (Hashtbl.mem t.thread_names tid) then
-        Hashtbl.add t.thread_names tid name;
-      t.phase <- Thread tid;
-      t.cur <- key_of t tid
-  | Obs.Sched_idle ->
-      t.phase <- Idle;
-      t.cur <- "idle"
-  | Obs.Switcher_call { tid } | Obs.Switcher_return { tid } ->
-      push t tid "switcher";
-      sync t tid
-  | Obs.Switcher_abort { tid } ->
-      if top t tid = "switcher" then pop t tid;
-      sync t tid
-  | Obs.Call_enter { callee; tid; _ } ->
-      if top t tid = "switcher" then pop t tid;
-      push t tid callee;
-      sync t tid
-  | Obs.Call_leave { tid; _ } ->
-      while top t tid = "switcher" do
-        pop t tid
-      done;
-      pop t tid;
-      sync t tid
-  | _ -> ()
+  (match kind with
+  | Obs.Thread_dispatch { tid; name } when not (Hashtbl.mem t.thread_names tid) ->
+      Hashtbl.add t.thread_names tid name
+  | _ -> ());
+  if Obs.Callstack.step t.cs kind then t.cur <- key t
 
 let snapshot t =
   let counts = Hashtbl.copy t.counts in
-  let stacks = Hashtbl.copy t.stacks in
+  let restore_cs = Obs.Callstack.snapshot t.cs in
   let thread_names = Hashtbl.copy t.thread_names in
-  let phase = t.phase in
   let cur = t.cur in
   let prev = t.prev in
   fun () ->
@@ -133,9 +97,8 @@ let snapshot t =
       Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
     in
     refill t.counts counts;
-    refill t.stacks stacks;
+    restore_cs ();
     refill t.thread_names thread_names;
-    t.phase <- phase;
     t.cur <- cur;
     t.prev <- prev
 

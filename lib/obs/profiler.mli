@@ -1,8 +1,7 @@
 (** Deterministic sampling profiler riding the {!Obs} event stream.
 
-    A [Profiler.t] reconstructs each thread's compartment call stack
-    online from the same switcher call-enter/leave edges and
-    scheduler-context events that {!Obs.attribute} folds post-hoc, and
+    A [Profiler.t] drives the same call-stack machine
+    ({!Obs.Callstack}) online that {!Obs.attribute} folds post-hoc, and
     accumulates {e folded-stack} weights — the input format of
     [flamegraph.pl] and speedscope.  Two modes:
 

@@ -1,31 +1,26 @@
 (* Equivalence lockdown for the interpreter back-ends: on randomized
-   programs, the pre-decoded and superblock-compiled engines must agree
-   with the legacy per-step fetch/decode oracle on everything observable
-   — final registers, instructions retired, simulated cycles, outcome
-   (including trap cause and faulting PC) and the emitted trace event
-   stream.  The golden-cycles files pin the real workloads; this suite
-   explores the weird corners (bound-edge branches, traps mid-loop, fuel
-   exhaustion, sentry jumps) the workloads never reach, plus the corners
-   specific to superblock compilation: an IRQ firing mid-block, a fault
-   injected mid-block by external hardware, fuel running out inside a
-   block (forced side-exit), filter-epoch invalidation between two
-   executions of the same warm compiled block, and multi-exit blocks —
-   a self-loop that leaves through a mid-block branch, with fuel running
-   out after that branch.  Every program runs twice per engine: traced
-   (the Obs event stream is compared, and an attached ring turns off
-   deferred tick batching) and untraced (deferral on), and the final
-   SRAM bytes and tags are compared too. *)
+   programs, the superblock-compiled engine must agree with the legacy
+   per-step fetch/decode stepper, the executable spec, on everything
+   observable — final registers, instructions retired, simulated cycles,
+   outcome (including trap cause and faulting PC) and the emitted trace
+   event stream.  The golden-cycles files pin the real workloads; this
+   suite explores the weird corners (bound-edge branches, traps
+   mid-loop, fuel exhaustion, sentry jumps) the workloads never reach,
+   plus the corners specific to superblock compilation: an IRQ firing
+   mid-block, a fault injected mid-block by external hardware, fuel
+   running out inside a block and a pcc cut short of a block's end (both
+   side-exit into the legacy stepper for one instruction, then re-enter
+   compiled dispatch), filter-epoch invalidation between two executions
+   of the same warm compiled block, and multi-exit blocks — a self-loop
+   that leaves through a mid-block branch, with fuel running out after
+   that branch.  Every program runs twice per engine: traced (the Obs
+   event stream is compared, and an attached ring turns off deferred
+   tick batching) and untraced (deferral on), and the final SRAM bytes
+   and tags are compared too. *)
 
 module Cap = Capability
 
 let code_base = 0x4000_0000
-
-let engine_name = function
-  | `Legacy -> "legacy"
-  | `Predecode -> "predecode"
-  | `Superblock -> "superblock"
-
-let fast_engines = [ `Predecode; `Superblock ]
 
 (* ------------------------------------------------------------------ *)
 (* Random program generation                                          *)
@@ -112,7 +107,16 @@ let gen_program rng =
   done;
   (* Halt backstop so straight-line fall-through off the end (a legal
      Bounds trap) isn't the only way out. *)
-  Isa.assemble ~name:"equiv" (!items @ [ Isa.I Isa.Halt ])
+  let prog = Isa.assemble ~name:"equiv" (!items @ [ Isa.I Isa.Halt ]) in
+  (* About a quarter of programs enter under a pcc whose top is cut at a
+     random instruction boundary inside the program: blocks reaching past
+     the cut side-exit into the legacy stepper one instruction at a
+     time, while blocks below it still run compiled. *)
+  let cut =
+    if Random.State.int rng 4 = 0 then Some (1 + Random.State.int rng len)
+    else None
+  in
+  (prog, cut)
 
 (* ------------------------------------------------------------------ *)
 (* One run under any engine                                           *)
@@ -205,16 +209,17 @@ let setup_data machine interp =
 (* Run [prog] from its entry sentry (also left in r8) on a fresh
    machine, handing the machine to [setup] first so a corner can arm
    its own perturbation; [setup]'s result reads back side observations
-   after the run. *)
-let run_rig ~traced ~engine ?(fuel = 100_000) prog setup =
+   after the run.  [cut] narrows the pcc to the first [cut]
+   instructions. *)
+let run_rig ~traced ~engine ?(fuel = 100_000) ?cut prog setup =
   let machine, obs = traced_machine traced in
   let interp = Interp.create ~engine machine in
   Interp.map_segment interp ~base:code_base prog;
   setup_data machine interp;
   let extra = setup machine in
+  let words = Option.value cut ~default:(Isa.length prog) in
   let pcc =
-    Cap.make_root ~base:code_base
-      ~top:(code_base + Isa.code_bytes prog)
+    Cap.make_root ~base:code_base ~top:(code_base + (4 * words))
       ~perms:Perm.Set.executable
   in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
@@ -247,17 +252,12 @@ let diff_views what oracle fast =
 
 let mode_name traced = if traced then "traced" else "untraced"
 
-let check_equiv ?(fuel = 2_000) prog =
+let check_equiv ?(fuel = 2_000) (prog, cut) =
   List.iter
     (fun traced ->
-      let oracle, _ = run_rig ~traced ~engine:`Legacy ~fuel prog no_setup in
-      List.iter
-        (fun engine ->
-          diff_views
-            (engine_name engine ^ " " ^ mode_name traced)
-            oracle
-            (fst (run_rig ~traced ~engine ~fuel prog no_setup)))
-        fast_engines)
+      let oracle, _ = run_rig ~traced ~engine:`Legacy ~fuel ?cut prog no_setup in
+      diff_views ("superblock " ^ mode_name traced) oracle
+        (fst (run_rig ~traced ~engine:`Superblock ~fuel ?cut prog no_setup)))
     [ true; false ];
   true
 
@@ -268,15 +268,14 @@ let check_equiv ?(fuel = 2_000) prog =
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 0x3fffffff)
 
 let prop_random_programs =
-  QCheck.Test.make
-    ~name:"predecode == superblock == legacy on random programs" ~count:300
+  QCheck.Test.make ~name:"superblock == legacy on random programs" ~count:300
     seed_gen
     (fun s ->
       let rng = Random.State.make [| s; 0x5eed |] in
       check_equiv (gen_program rng))
 
 let prop_fuel_exhaustion =
-  QCheck.Test.make ~name:"all three engines agree at every fuel level"
+  QCheck.Test.make ~name:"both engines agree at every fuel level"
     ~count:100
     (QCheck.pair seed_gen QCheck.(int_range 1 60))
     (fun (s, fuel) ->
@@ -291,7 +290,7 @@ let test_bounds_fall_through () =
   let prog =
     Isa.assemble ~name:"fall" [ Isa.I (Isa.Li (1, 1)); Isa.I (Isa.Li (2, 2)) ]
   in
-  ignore (check_equiv prog)
+  ignore (check_equiv (prog, None))
 
 let test_narrow_pcc () =
   (* A pcc narrower than the segment: the fast paths' in-segment check
@@ -320,13 +319,8 @@ let test_narrow_pcc () =
       Interp.instret interp,
       Machine.cycles machine )
   in
-  let oracle = run `Legacy in
-  List.iter
-    (fun engine ->
-      Alcotest.(check (triple string int int))
-        ("narrow pcc agrees: " ^ engine_name engine)
-        oracle (run engine))
-    fast_engines
+  Alcotest.(check (triple string int int))
+    "narrow pcc agrees" (run `Legacy) (run `Superblock)
 
 let test_jump_out_exits () =
   (* Cjalr to an address outside every segment leaves the interpreter
@@ -353,13 +347,8 @@ let test_jump_out_exits () =
     (outcome_to_string (Interp.run ~fuel:100 interp entry),
      Interp.instret interp)
   in
-  let oracle = run `Legacy in
-  List.iter
-    (fun engine ->
-      Alcotest.(check (pair string int))
-        ("exit agrees: " ^ engine_name engine)
-        oracle (run engine))
-    fast_engines
+  Alcotest.(check (pair string int))
+    "exit agrees" (run `Legacy) (run `Superblock)
 
 (* ------------------------------------------------------------------ *)
 (* Superblock-specific corners: the tight loop is one compiled block   *)
@@ -381,27 +370,21 @@ let loop_prog trips =
       Isa.I Isa.Halt;
     ]
 
-(* Every engine against the legacy oracle, traced and untraced; returns
-   the traced oracle's view. *)
-let check_matrix name ?fuel prog setup =
+(* The superblock engine against the legacy oracle, traced and
+   untraced; returns the traced oracle's view. *)
+let check_matrix name ?fuel ?cut prog setup =
   let oracles =
     List.map
       (fun traced ->
         let oracle, oracle_extra =
-          run_rig ~traced ~engine:`Legacy ?fuel prog setup
+          run_rig ~traced ~engine:`Legacy ?fuel ?cut prog setup
         in
-        List.iter
-          (fun engine ->
-            let got, extra = run_rig ~traced ~engine ?fuel prog setup in
-            let what =
-              Printf.sprintf "%s: %s %s" name (engine_name engine)
-                (mode_name traced)
-            in
-            diff_views what oracle got;
-            Alcotest.(check (list (pair int int)))
-              (what ^ " side observations")
-              oracle_extra extra)
-          fast_engines;
+        let got, extra = run_rig ~traced ~engine:`Superblock ?fuel ?cut prog setup in
+        let what = Printf.sprintf "%s: %s" name (mode_name traced) in
+        diff_views what oracle got;
+        Alcotest.(check (list (pair int int)))
+          (what ^ " side observations")
+          oracle_extra extra;
         oracle)
       [ true; false ]
   in
@@ -498,14 +481,51 @@ let test_epoch_invalidation_between_runs () =
   Alcotest.(check string) "warm run halts" "halted" w0.s_outcome;
   Alcotest.(check bool) "revoked run traps" true (r0.s_outcome <> "halted");
   Alcotest.(check string) "cleared run halts again" "halted" c0.s_outcome;
+  let w, r, c = run `Superblock in
+  diff_views "epoch warm" w0 w;
+  diff_views "epoch revoked" r0 r;
+  diff_views "epoch cleared" c0 c
+
+let test_side_exit_then_compiled () =
+  (* A pcc cut two instructions short of the halt.  Every block entered
+     below the loop reaches past the cut, so the dispatcher side-exits
+     and steps each instruction on the legacy stepper; the self-looping
+     block at [loop] fits under the cut, so the same epoch then runs it
+     compiled (spinning, deferred when untraced); after the loop the
+     side-exits resume until the stepper traps at the cut. *)
+  let prog =
+    Isa.assemble ~name:"cut"
+      [
+        Isa.I (Isa.Li (1, 0));
+        Isa.I (Isa.Li (2, 50));
+        Isa.L "loop";
+        Isa.I (Isa.Addi (1, 1, 1));
+        Isa.I (Isa.Bne (1, 2, "loop"));
+        Isa.I (Isa.Li (3, 7));
+        Isa.I (Isa.Li (4, 8));
+        Isa.I Isa.Halt;
+      ]
+  in
+  let cut = 5 in
+  let interp = Interp.create (Machine.create ()) in
+  Interp.map_segment interp ~base:code_base prog;
+  let shape i = Interp.block_shape interp (code_base + (4 * i)) in
+  Alcotest.(check (option (pair int bool)))
+    "entry block reaches past the cut" (Some (7, false)) (shape 0);
+  Alcotest.(check (option (pair int bool)))
+    "loop block fits under the cut" (Some (2, true)) (shape 2);
   List.iter
-    (fun engine ->
-      let w, r, c = run engine in
-      let n = engine_name engine in
-      diff_views ("epoch warm: " ^ n) w0 w;
-      diff_views ("epoch revoked: " ^ n) r0 r;
-      diff_views ("epoch cleared: " ^ n) c0 c)
-    fast_engines
+    (fun fuel ->
+      let oracle =
+        check_matrix
+          (Printf.sprintf "side-exit then compiled loop (fuel %d)" fuel)
+          ~fuel ~cut prog no_setup
+      in
+      if fuel = 1_000 then
+        Alcotest.(check string) "traps at the cut"
+          (Printf.sprintf "trap at 0x%x: bounds violation" (code_base + (4 * cut)))
+          oracle.s_outcome)
+    [ 1; 2; 3; 40; 101; 102; 103; 1_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-exit blocks: the switcher's stack-zeroing loop shape, a self- *)
@@ -668,16 +688,13 @@ let test_run_inside_self_loop () =
       in
       let oracle, oracle_inner = run `Legacy in
       Alcotest.(check int) "nested run happened" 1 (List.length oracle_inner);
-      List.iter
-        (fun engine ->
-          let got, inner = run engine in
-          let what =
-            Printf.sprintf "nested run (fuel %d, trigger %d): %s %s" fuel
-              trigger (engine_name engine) (mode_name traced)
-          in
-          diff_views what oracle got;
-          Alcotest.(check (list string)) (what ^ " inner") oracle_inner inner)
-        fast_engines)
+      let got, inner = run `Superblock in
+      let what =
+        Printf.sprintf "nested run (fuel %d, trigger %d): %s" fuel trigger
+          (mode_name traced)
+      in
+      diff_views what oracle got;
+      Alcotest.(check (list string)) (what ^ " inner") oracle_inner inner)
     (List.concat_map
        (fun traced -> [ (traced, 200, 10); (traced, 200, 50); (traced, 5_000, 100) ])
        [ true; false ])
@@ -703,6 +720,8 @@ let () =
             test_fuel_inside_block;
           Alcotest.test_case "epoch invalidation between runs" `Quick
             test_epoch_invalidation_between_runs;
+          Alcotest.test_case "side-exit, then a compiled block" `Quick
+            test_side_exit_then_compiled;
         ] );
       ( "multi-exit blocks",
         [

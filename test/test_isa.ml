@@ -215,6 +215,17 @@ let test_assembler_errors () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate label accepted"
 
+let test_operand_range_rejected () =
+  (* Out-of-range operands are unrepresentable in an [Isa.program]: the
+     interpreter never sees a register outside the 16-entry file or a
+     special-register index outside 0..2. *)
+  List.iter
+    (fun ins ->
+      match assemble ~name:"bad" [ I ins; I Halt ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted %a" pp_instr ins)
+    [ Li (16, 1); Mv (1, -1); Cspecialrw (1, 3, 0) ]
+
 
 let test_auipcc () =
   (* PCC-relative address formation: rd gets the PCC with the cursor at
@@ -338,6 +349,7 @@ let suite =
     Alcotest.test_case "instret/cycles" `Quick test_instret_and_cycles;
     Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
     Alcotest.test_case "assembler errors" `Quick test_assembler_errors;
+    Alcotest.test_case "operand range rejected" `Quick test_operand_range_rejected;
     Alcotest.test_case "auipcc" `Quick test_auipcc;
     Alcotest.test_case "sentry kinds" `Quick test_sentry_kinds_encode;
     Alcotest.test_case "backward sentry posture" `Quick test_backward_sentry_restores_posture;

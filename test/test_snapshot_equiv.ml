@@ -10,8 +10,8 @@
      f2: prologue; snapshot; epilogue;
          restore; epilogue                     (restore is exact)
 
-   and identically under all three interpreter engines (legacy,
-   pre-decoded, superblock — each restores through the same capture).
+   and identically under both interpreter engines (legacy and
+   superblock restore through the same capture).
    Corners the generator cannot reach — snapshot with an IRQ latched
    behind a masked line, snapshot mid-quarantine-sweep, snapshot
    attempted from a running kernel thread, restore over a superblock
@@ -203,14 +203,12 @@ let check_matrix ?(fuel = 2_000) s =
   Machine.restore rig.machine snap;
   let f3 = run_epilogue ~fuel rig prog_b in
   check_view "superblock: second restore exact" f2 f3;
-  (* The other engines restore through the same capture and must land
+  (* The legacy engine restores through the same capture and must land
      on the same fork. *)
   let g0, g1, g2, _, _ = fork_views ~engine:`Legacy ~fuel prog_a prog_b in
   check_view "legacy: snapshot invisible" g0 g1;
   check_view "legacy: restore exact" g1 g2;
   check_view "superblock == legacy after restore" f2 g2;
-  let _, _, h2, _, _ = fork_views ~engine:`Predecode ~fuel prog_a prog_b in
-  check_view "predecode == legacy after restore" h2 g2;
   true
 
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 0x3fffffff)
