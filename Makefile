@@ -57,9 +57,8 @@ replay-smoke: build
 	@echo "replay-smoke: journal verified and matches golden"
 
 # Differential-security smoke: the containment matrix at --jobs 4 must
-# be byte-identical to the sequential run (CHERIoT scenarios fork from
-# a shared post-boot snapshot per chunk, so this also pins the
-# snapshot-fork == fresh-boot equivalence), and must match the
+# be byte-identical to the sequential run (every cell boots its own
+# machine, so farming must not change a byte), and must match the
 # committed golden (dune promote accepts a deliberate verdict change).
 attack-smoke: build
 	@dune exec bench/main.exe -- attack-matrix --seed 1 --n 6 --jobs 1 2>/dev/null > _build/attack_j1.out

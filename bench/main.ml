@@ -3,7 +3,6 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig6a   -- one experiment
-     dune exec bench/main.exe -- wallclock  -- Bechamel wall-clock suite
 
    Experiments: table2 table3 fig6a fig6b fig7 (fig7-fast) table4 tcb
    Ablations:   ablate-quarantine ablate-loadfilter ablate-revoker
@@ -554,50 +553,46 @@ let ablate_revoker () =
   List.iter (fun rate -> fig6b ~revoker_rate:rate ()) [ 1; 3; 12 ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite: one Test.make per table/figure.         *)
+(* Subcommand arguments.  Bad input raises [Bad_input]; the dispatcher *)
+(* prints it as one line plus the subcommand's usage on stderr and    *)
+(* exits 1.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
-  let open Bechamel in
-  [
-    Test.make ~name:"table2:link-base-image"
-      (Staged.stage (fun () -> ignore (load_image (base_image ()))));
-    Test.make ~name:"table3:sealed-object-roundtrip"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               let q = quota_of ctx "bench_quota" in
-               match Allocator.token_key_new ctx with
-               | Error _ -> ()
-               | Ok key -> (
-                   match Allocator.allocate_sealed ctx ~alloc_cap:q ~key 24 with
-                   | Ok s -> ignore (Allocator.token_unseal ctx ~key s)
-                   | Error _ -> ()))));
-    Test.make ~name:"fig6a:compartment-call"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               for _ = 1 to 10 do
-                 ignore (Kernel.call1 ctx ~import:"callee.e0" [ iv 1 ])
-               done)));
-    Test.make ~name:"fig6b:alloc-free-pair"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               let q = quota_of ctx "bench_quota" in
-               for _ = 1 to 10 do
-                 match Allocator.allocate ctx ~alloc_cap:q 256 with
-                 | Ok c -> ignore (Allocator.free ctx ~alloc_cap:q c)
-                 | Error _ -> ()
-               done)));
-    Test.make ~name:"table4:mpu-uaf-probe"
-      (Staged.stage (fun () ->
-           let t = Mpu_baseline.create () in
-           let p = Mpu_baseline.malloc t 64 in
-           Mpu_baseline.free t p));
-    Test.make ~name:"fig7:iot-scenario-fast"
-      (Staged.stage (fun () -> ignore (Iot_scenario.run ~fast:true ())));
-  ]
+exception Bad_input of string
+
+let bad_input fmt = Printf.ksprintf (fun m -> raise (Bad_input m)) fmt
+
+(* Split a subcommand's arguments into positionals and [(flag, value)]
+   pairs: a flag in [valued] takes the next argument, one in [switches]
+   stands alone (value ""), any other "--" argument is rejected.  Pairs
+   come newest first, so [List.assoc_opt] finds the last value given. *)
+let split_args ?(valued = []) ?(switches = []) args =
+  let rec go pos kv = function
+    | [] -> (List.rev pos, kv)
+    | f :: rest when List.mem f valued -> (
+        match rest with
+        | v :: rest -> go pos ((f, v) :: kv) rest
+        | [] -> bad_input "%s expects a value" f)
+    | f :: rest when List.mem f switches -> go pos ((f, "") :: kv) rest
+    | a :: _ when String.starts_with ~prefix:"--" a ->
+        bad_input "unknown argument %s" a
+    | a :: rest -> go (a :: pos) kv rest
+  in
+  go [] [] args
+
+let int_flag kv f ~min =
+  Option.map
+    (fun v ->
+      match int_of_string_opt v with
+      | Some n when n >= min -> n
+      | _ -> bad_input "%s expects an integer >= %d, got %s" f min v)
+    (List.assoc_opt f kv)
+
+(* At most one positional, defaulting to [default]. *)
+let one_positional ~default = function
+  | [] -> default
+  | [ a ] -> a
+  | _ :: extra :: _ -> bad_input "unexpected argument %s" extra
 
 (* Long-mode fault-injection campaign (the quick 8-scenario version
    runs under `dune runtest`): 200 seeded scenarios by default,
@@ -613,13 +608,13 @@ let warn_oversubscribed ~what jobs =
        domain scheduling overhead, not parallel speedup@."
       what jobs cores
 
-let campaign ?(jobs = 1) ?(from_snapshot = false) ?(fleet_metrics = false) () =
+let campaign ?(jobs = 1) ?(fleet_metrics = false) () =
   let n = Fault_campaign.iters ~default:200 in
   section
     (Fmt.str "Fault-injection campaign (%d scenarios, seeds 1..%d)" n n);
   let t0 = Unix.gettimeofday () in
   let failures, outcomes =
-    Fault_campaign.run ~jobs ~from_snapshot ~base_seed:1 ~n ()
+    Fault_campaign.run ~jobs ~base_seed:1 ~n ()
   in
   let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
   Fmt.pr "  scenarios              %10d@." (List.length outcomes);
@@ -644,39 +639,20 @@ let campaign ?(jobs = 1) ?(from_snapshot = false) ?(fleet_metrics = false) () =
             (List.map (fun o -> o.Fault_campaign.oc_metrics) outcomes)));
   (* Wall clock goes to stderr: stdout must be byte-identical for every
      --jobs value (the campaign-par smoke target diffs it). *)
-  Fmt.epr "campaign: %d jobs%s, wall clock %.1f s@." jobs
-    (if from_snapshot then ", forked from snapshot" else "")
+  Fmt.epr "campaign: %d jobs, wall clock %.1f s@." jobs
     (Unix.gettimeofday () -. t0);
   if failures > 0 then exit 1
 
 let campaign_cmd args =
-  let jobs = ref (Farm.default_jobs ()) in
-  let from_snapshot = ref false in
-  let fleet_metrics = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            Fmt.epr "campaign: --jobs expects a positive integer, got %s@." v;
-            exit 1)
-    | "--from-snapshot" :: rest ->
-        from_snapshot := true;
-        parse rest
-    | "--fleet-metrics" :: rest ->
-        fleet_metrics := true;
-        parse rest
-    | a :: _ ->
-        Fmt.epr "campaign: unknown argument %s@." a;
-        exit 1
+  let pos, kv =
+    split_args ~valued:[ "--jobs" ] ~switches:[ "--fleet-metrics" ] args
   in
-  parse args;
-  warn_oversubscribed ~what:"campaign" !jobs;
-  campaign ~jobs:!jobs ~from_snapshot:!from_snapshot
-    ~fleet_metrics:!fleet_metrics ()
+  if pos <> [] then bad_input "unexpected argument %s" (List.hd pos);
+  let jobs =
+    Option.value (int_flag kv "--jobs" ~min:1) ~default:(Farm.default_jobs ())
+  in
+  warn_oversubscribed ~what:"campaign" jobs;
+  campaign ~jobs ~fleet_metrics:(List.mem_assoc "--fleet-metrics" kv) ()
 
 (* ------------------------------------------------------------------ *)
 (* Cycle-attributed tracing (lib/obs): run a workload under a trace   *)
@@ -843,7 +819,9 @@ let run_workload ?profile = function
       let machine, obs, frn = observed_machine ?profile () in
       ignore (Iot_scenario.run ~fast:true ~machine ());
       (machine, obs, frn)
-  | other -> failwith ("unknown trace workload " ^ other)
+  | other ->
+      bad_input "unknown workload %s (expected producer_consumer, alloc_churn \
+                 or iot)" other
 
 let print_attribution machine obs =
   let total = Machine.cycles machine in
@@ -855,20 +833,9 @@ let print_attribution machine obs =
     (Obs.attribute ~total_cycles:total (Obs.events obs))
 
 let trace_cmd args =
-  let out, rest =
-    let rec go acc = function
-      | "--out" :: f :: rest -> (Some f, List.rev_append acc rest)
-      | a :: rest -> go (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
-  in
-  let workload =
-    match rest with
-    | [] -> "producer_consumer"
-    | [ w ] -> w
-    | _ -> failwith "usage: trace <workload> [--out trace.json]"
-  in
+  let pos, kv = split_args ~valued:[ "--out" ] args in
+  let workload = one_positional ~default:"producer_consumer" pos in
+  let out = List.assoc_opt "--out" kv in
   let machine, obs, _ = run_workload workload in
   section (Printf.sprintf "trace %s" workload);
   List.iter (fun e -> Fmt.pr "%a@." Obs.pp_event e) (Obs.events obs);
@@ -890,27 +857,14 @@ let trace_cmd args =
    snapshot of this one machine as Prometheus text exposition.  --out
    redirects either rendering to a file, matching `-- trace`. *)
 let metrics_cmd args =
-  let openmetrics = ref false in
-  let out = ref None in
-  let rec split acc = function
-    | "--openmetrics" :: rest ->
-        openmetrics := true;
-        split acc rest
-    | "--out" :: f :: rest ->
-        out := Some f;
-        split acc rest
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
+  let pos, kv =
+    split_args ~valued:[ "--out" ] ~switches:[ "--openmetrics" ] args
   in
-  let workload =
-    match split [] args with
-    | [] -> "producer_consumer"
-    | [ w ] -> w
-    | _ -> failwith "usage: metrics <workload> [--openmetrics] [--out f]"
-  in
+  let workload = one_positional ~default:"producer_consumer" pos in
+  let openmetrics = List.mem_assoc "--openmetrics" kv in
   let machine, obs, frn = run_workload workload in
   let text =
-    if !openmetrics then
+    if openmetrics then
       Agg.to_openmetrics
         (Agg.of_forensics frn ~cycles:(Machine.cycles machine))
     else
@@ -918,14 +872,14 @@ let metrics_cmd args =
         (Obs.metrics ~total_cycles:(Machine.cycles machine) obs)
       ^ "\n"
   in
-  match !out with
+  match List.assoc_opt "--out" kv with
   | None -> print_string text
   | Some f ->
       let oc = open_out f in
       output_string oc text;
       close_out oc;
       Fmt.pr "wrote %s metrics to %s@."
-        (if !openmetrics then "OpenMetrics" else "JSON")
+        (if openmetrics then "OpenMetrics" else "JSON")
         f
 
 (* Deterministic profiling: run a workload with the sampling profiler
@@ -937,31 +891,10 @@ let metrics_cmd args =
    sampled mode (one sample per N simulated cycles); --out writes the
    self-contained JSON profile. *)
 let profile_cmd args =
-  let interval = ref None in
-  let out = ref None in
-  let rec split acc = function
-    | "--interval" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 2 ->
-            interval := Some n;
-            split acc rest
-        | _ ->
-            Fmt.epr "profile: --interval expects an integer >= 2, got %s@." v;
-            exit 1)
-    | "--out" :: f :: rest ->
-        out := Some f;
-        split acc rest
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let workload =
-    match split [] args with
-    | [] -> "producer_consumer"
-    | [ w ] -> w
-    | _ -> failwith "usage: profile <workload> [--interval N] [--out f]"
-  in
+  let pos, kv = split_args ~valued:[ "--interval"; "--out" ] args in
+  let workload = one_positional ~default:"producer_consumer" pos in
   let mode =
-    match !interval with
+    match int_flag kv "--interval" ~min:2 with
     | Some n -> Profiler.Sampled n
     | None -> Profiler.Exact
   in
@@ -982,7 +915,7 @@ let profile_cmd args =
         weight total_cycles;
       exit 1
   | _ -> ());
-  match !out with
+  match List.assoc_opt "--out" kv with
   | None -> ()
   | Some f ->
       let oc = open_out f in
@@ -997,12 +930,8 @@ let profile_cmd args =
    given workload — `report producer_consumer` is pinned by
    test/golden_report.expected. *)
 let report_cmd args =
-  let workload =
-    match args with
-    | [] -> "producer_consumer"
-    | [ w ] -> w
-    | _ -> failwith "usage: report <workload>"
-  in
+  let pos, _ = split_args args in
+  let workload = one_positional ~default:"producer_consumer" pos in
   let machine, obs, frn = run_workload workload in
   let total_cycles = Machine.cycles machine in
   let events = Obs.events obs in
@@ -1020,65 +949,38 @@ let report_cmd args =
    N simulated cycles leading up to the fault: the time-travel view of
    what the machine was fed just before it crashed. *)
 let crashdump_cmd args =
-  let context = ref None in
-  let from_snapshot = ref false in
-  let rec split acc = function
-    | "--replay-context" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            context := Some n;
-            split acc rest
-        | _ ->
-            Fmt.epr "crashdump: --replay-context expects a positive integer@.";
-            exit 1)
-    | "--from-snapshot" :: rest ->
-        from_snapshot := true;
-        split acc rest
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let scenario =
-    match split [] args with
-    | [] -> "pod"
-    | [ s ] -> s
-    | _ -> failwith "usage: crashdump <pod|campaign-seed> [--replay-context N]"
-  in
+  let pos, kv = split_args ~valued:[ "--replay-context" ] args in
+  let scenario = one_positional ~default:"pod" pos in
+  let context = int_flag kv "--replay-context" ~min:1 in
   (* The journal recorder is observationally invisible, so attaching it
      only when asked cannot change the dumps. *)
   let session = ref None in
-  let attach m = if !context <> None then session := Some (Replay.record m) in
+  let attach m = if context <> None then session := Some (Replay.record m) in
   let dumps =
     match int_of_string_opt scenario with
     | Some seed ->
-        let o =
-          Fault_campaign.run_scenario ~prepare:attach
-            ~from_snapshot:!from_snapshot ~seed ()
-        in
+        let o = Fault_campaign.run_scenario ~prepare:attach ~seed () in
         section (Printf.sprintf "crashdump: campaign seed %d" seed);
         Fmt.pr "faults=%d reboots=%d dumps=%d@." o.Fault_campaign.oc_faults
           o.Fault_campaign.oc_reboots
           (List.length o.Fault_campaign.oc_dumps);
         o.Fault_campaign.oc_dumps
-    | None -> (
-        match scenario with
-        | "pod" | "ping_of_death" ->
-            let machine, _, frn = observed_machine () in
-            attach machine;
-            section "crashdump: ping-of-death (iot scenario, fast profile)";
-            ignore (Iot_scenario.run ~fast:true ~machine ());
-            Forensics.dumps frn
-        | other ->
-            failwith
-              (Printf.sprintf
-                 "unknown crashdump scenario %s (expected pod or an integer \
-                  campaign seed)"
-                 other))
+    | None when scenario = "pod" || scenario = "ping_of_death" ->
+        let machine, _, frn = observed_machine () in
+        attach machine;
+        section "crashdump: ping-of-death (iot scenario, fast profile)";
+        ignore (Iot_scenario.run ~fast:true ~machine ());
+        Forensics.dumps frn
+    | None ->
+        bad_input
+          "unknown scenario %s (expected pod or an integer campaign seed)"
+          scenario
   in
   List.iter (fun d -> Fmt.pr "%a@." Forensics.pp_dump d) dumps;
   print_endline
     (Json.to_string ~pretty:true
        (Json.List (List.map Forensics.dump_json dumps)));
-  match (!context, !session) with
+  match (context, !session) with
   | Some n, Some s ->
       let journal = Replay.recorded s in
       Replay.finish s;
@@ -1107,66 +1009,43 @@ let crashdump_cmd args =
 (* ------------------------------------------------------------------ *)
 
 let attack_matrix_cmd args =
-  let jobs = ref (Farm.default_jobs ()) in
-  let seed = ref 1 in
-  let n = ref 6 in
-  let json = ref false in
-  let armed = ref true in
-  let fleet_metrics = ref false in
-  let replay = ref None in
-  let int_arg name v k rest parse_rest =
-    match int_of_string_opt v with
-    | Some x when x >= 1 ->
-        k x;
-        parse_rest rest
-    | _ ->
-        Fmt.epr "attack-matrix: %s expects a positive integer, got %s@." name v;
-        exit 1
+  let pos, kv =
+    split_args
+      ~valued:[ "--jobs"; "--seed"; "--n"; "--replay" ]
+      ~switches:[ "--json"; "--disarm"; "--fleet-metrics" ]
+      args
   in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: v :: rest -> int_arg "--jobs" v (fun x -> jobs := x) rest parse
-    | "--seed" :: v :: rest -> int_arg "--seed" v (fun x -> seed := x) rest parse
-    | "--n" :: v :: rest -> int_arg "--n" v (fun x -> n := x) rest parse
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--disarm" :: rest ->
-        armed := false;
-        parse rest
-    | "--fleet-metrics" :: rest ->
-        fleet_metrics := true;
-        parse rest
-    | "--replay" :: v :: rest ->
-        (match String.split_on_char ':' v with
+  if pos <> [] then bad_input "unexpected argument %s" (List.hd pos);
+  let int_arg f ~default = Option.value (int_flag kv f ~min:1) ~default in
+  let jobs = int_arg "--jobs" ~default:(Farm.default_jobs ()) in
+  let seed = int_arg "--seed" ~default:1 in
+  let n = int_arg "--n" ~default:6 in
+  let switch f = List.mem_assoc f kv in
+  let armed = not (switch "--disarm") in
+  let replay =
+    Option.map
+      (fun v ->
+        match String.split_on_char ':' v with
         | [ f; m; s ] -> (
             match
               ( Attack.family_of_name f,
                 Attack.model_of_name m,
                 int_of_string_opt s )
             with
-            | Some family, Some model, Some seed ->
-                replay := Some (family, model, seed)
+            | Some family, Some model, Some seed -> (family, model, seed)
             | _ ->
-                Fmt.epr
-                  "attack-matrix: --replay expects <family>:<model>:<seed> \
-                   (families: %s; models: %s)@."
+                bad_input
+                  "--replay expects <family>:<model>:<seed> (families: %s; \
+                   models: %s)"
                   (String.concat "," (List.map Attack.family_name Attack.families))
-                  (String.concat "," (List.map Attack.model_name Attack.models));
-                exit 1)
-        | _ ->
-            Fmt.epr "attack-matrix: --replay expects <family>:<model>:<seed>@.";
-            exit 1);
-        parse rest
-    | a :: _ ->
-        Fmt.epr "attack-matrix: unknown argument %s@." a;
-        exit 1
+                  (String.concat "," (List.map Attack.model_name Attack.models)))
+        | _ -> bad_input "--replay expects <family>:<model>:<seed>")
+      (List.assoc_opt "--replay" kv)
   in
-  parse args;
-  match !replay with
+  match replay with
   | Some (family, model, seed) ->
       (* Replay one cell with its full forensic record. *)
-      let o = Attack.run_one ~armed:!armed ~family ~model ~seed () in
+      let o = Attack.run_one ~armed ~family ~model ~seed () in
       section
         (Printf.sprintf "attack replay: %s on %s, seed %d"
            (Attack.family_name family) (Attack.model_name model) seed);
@@ -1182,13 +1061,11 @@ let attack_matrix_cmd args =
         List.iter (fun l -> Fmt.pr "  %s@." l) o.Attack.at_journal
       end
   | None ->
-      warn_oversubscribed ~what:"attack-matrix" !jobs;
+      warn_oversubscribed ~what:"attack-matrix" jobs;
       let t0 = Unix.gettimeofday () in
-      let outcomes =
-        Attack.run_matrix ~jobs:!jobs ~armed:!armed ~base_seed:!seed ~n:!n ()
-      in
+      let outcomes = Attack.run_matrix ~jobs ~armed ~base_seed:seed ~n () in
       let dt = Unix.gettimeofday () -. t0 in
-      if !json then
+      if switch "--json" then
         print_endline (Json.to_string ~pretty:true (Attack.matrix_json outcomes))
       else begin
         section "differential attack campaigns: containment matrix";
@@ -1198,14 +1075,14 @@ let attack_matrix_cmd args =
          merged in submission order — byte-identical at any --jobs (the
          attack-smoke fleet diff pins it); opt-in so the default stdout
          stays pinned by test/golden_attack_matrix.expected. *)
-      if !fleet_metrics then
+      if switch "--fleet-metrics" then
         print_string
           (Agg.table
              (Agg.merge_all
                 (List.map (fun o -> o.Attack.at_metrics) outcomes)));
       (* wall clock to stderr: stdout stays byte-identical across --jobs *)
       Fmt.epr "attack-matrix: %d scenarios in %.2fs (%d jobs)@."
-        (List.length outcomes) dt !jobs
+        (List.length outcomes) dt jobs
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic record-replay (lib/replay).                          *)
@@ -1230,6 +1107,9 @@ let replay_cmd args =
     in
     (Option.get !session, outcome)
   in
+  let load path =
+    try Replay.load path with Failure e -> bad_input "%s" e
+  in
   match args with
   | [ "record"; seed; path ] when int_of_string_opt seed <> None ->
       let seed = int_of_string seed in
@@ -1243,7 +1123,7 @@ let replay_cmd args =
         outcome.Fault_campaign.oc_faults outcome.Fault_campaign.oc_reboots
   | [ "verify"; seed; path ] when int_of_string_opt seed <> None ->
       let seed = int_of_string seed in
-      let header, journal = Replay.load path in
+      let header, journal = load path in
       section (Printf.sprintf "replay verify: %s (%s)" path header);
       (try
          let session, outcome =
@@ -1256,19 +1136,15 @@ let replay_cmd args =
          Fmt.epr "%s@." (Replay.error_to_string e);
          exit 1)
   | [ "diff"; a; b ] ->
-      let _, ja = Replay.load a in
-      let _, jb = Replay.load b in
+      let _, ja = load a in
+      let _, jb = load b in
       section (Printf.sprintf "replay diff: %s vs %s" a b);
       (match Replay.divergence_report ja jb with
       | None -> Fmt.pr "journals identical (%d entries)@." (List.length ja)
       | Some report ->
           Fmt.pr "%s@." report;
           exit 1)
-  | _ ->
-      Fmt.epr
-        "usage: replay record <seed> <file> | replay verify <seed> <file> | \
-         replay diff <a> <b>@.";
-      exit 1
+  | _ -> bad_input "expected record, verify or diff with their arguments"
 
 (* ------------------------------------------------------------------ *)
 (* Host-performance baseline: BENCH_core.json (see EXPERIMENTS.md).   *)
@@ -1376,16 +1252,6 @@ let perf_measurements () =
         let failures, _ = Fault_campaign.run ~jobs:4 ~base_seed:1 ~n:8 () in
         if failures > 0 then failwith "perf-json: campaign reported violations")
   in
-  (* The same 8 scenarios again, sequential but forked from one shared
-     post-boot snapshot instead of rebooting per seed: output is
-     byte-identical (pinned by test_farm), only the wall clock moves. *)
-  let campaign8_snapshot_s =
-    timed (fun () ->
-        let failures, _ =
-          Fault_campaign.run ~from_snapshot:true ~base_seed:1 ~n:8 ()
-        in
-        if failures > 0 then failwith "perf-json: campaign reported violations")
-  in
   let base =
     [
       ("engine", Json.Str engine);
@@ -1395,7 +1261,6 @@ let perf_measurements () =
       ("fig7_fast_s", Json.Str (Printf.sprintf "%.3f" fig7_fast_s));
       ("campaign8_s", Json.Str (Printf.sprintf "%.3f" campaign8_s));
       ("campaign8_jobs4_s", Json.Str (Printf.sprintf "%.3f" campaign8_jobs4_s));
-      ("campaign8_snapshot_s", Json.Str (Printf.sprintf "%.3f" campaign8_snapshot_s));
       ("host_cores", Json.Str (string_of_int (Farm.default_jobs ())));
     ]
   in
@@ -1446,10 +1311,7 @@ let perf_cmd args =
     match args with
     | [] -> false
     | [ "--compare" ] -> true
-    | a :: _ ->
-        Fmt.epr "perf: unknown argument %s@." a;
-        Fmt.epr "usage: bench -- perf [--compare]@.";
-        exit 1
+    | a :: _ -> bad_input "unknown argument %s" a
   in
   if compare then begin
     section "ns/instr on the tight loop, by engine";
@@ -1616,28 +1478,6 @@ let alloc_gate_cmd _args =
       delta max_delta;
   if !failed then exit 1
 
-let wallclock () =
-  section "Bechamel wall-clock suite (host cost of each experiment unit)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = List.map (fun i -> Analyze.all ols i raw) instances in
-      let merged = Analyze.merge ols instances results in
-      Hashtbl.iter
-        (fun _measure per_test ->
-          Hashtbl.iter
-            (fun name ols_result ->
-              match Analyze.OLS.estimates ols_result with
-              | Some [ est ] -> Fmt.pr "  %-34s %10.3f ms/run@." name (est /. 1e6)
-              | _ -> Fmt.pr "  %-34s (no estimate)@." name)
-            per_test)
-        merged)
-    (bechamel_tests ())
-
 (* ------------------------------------------------------------------ *)
 
 (* The experiment table drives both dispatch and the usage listing, so
@@ -1664,14 +1504,13 @@ let experiments : (string * string * (unit -> unit)) list =
         ablate_loadfilter ();
         ablate_revoker () );
     ("perf-json", "machine-readable perf summary", perf_json);
-    ("wallclock", "Bechamel host wall-clock suite", wallclock);
   ]
 
 let subcommands : (string * string * (string list -> unit)) list =
   [
     ("trace",
-     "trace <workload>: dump the event ring (text + Chrome JSON); workloads: \
-      producer_consumer alloc_churn iot",
+     "trace <workload> [--out f]: dump the event ring (text, plus Chrome \
+      JSON with --out); workloads: producer_consumer alloc_churn iot",
      trace_cmd);
     ( "metrics",
       "metrics <workload> [--openmetrics] [--out f]: cycle-attribution \
@@ -1691,10 +1530,10 @@ let subcommands : (string * string * (string list -> unit)) list =
        before each fault",
       crashdump_cmd );
     ( "campaign",
-      "campaign [--jobs N] [--from-snapshot] [--fleet-metrics]: seeded \
-       fault-injection campaign, farmed over N domains (default: all cores; \
-       output identical for every N and for snapshot forking), optionally \
-       with the merged fleet metrics rollup",
+      "campaign [--jobs N] [--fleet-metrics]: seeded fault-injection \
+       campaign, farmed over N domains (default: all cores; output \
+       identical for every N), optionally with the merged fleet metrics \
+       rollup",
       campaign_cmd );
     ( "attack-matrix",
       "attack-matrix [--jobs N] [--seed S] [--n K] [--json] [--disarm] \
@@ -1734,9 +1573,18 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | cmd :: rest
-    when List.exists (fun (name, _, _) -> name = cmd) subcommands ->
-      let _, _, f = List.find (fun (name, _, _) -> name = cmd) subcommands in
-      f rest
+    when List.exists (fun (name, _, _) -> name = cmd) subcommands -> (
+      let _, doc, f = List.find (fun (name, _, _) -> name = cmd) subcommands in
+      try f rest
+      with Bad_input msg | Sys_error msg ->
+        (* The synopsis is the doc string up to its first ": ". *)
+        let rec synopsis i =
+          if i + 1 >= String.length doc then doc
+          else if doc.[i] = ':' && doc.[i + 1] = ' ' then String.sub doc 0 i
+          else synopsis (i + 1)
+        in
+        Fmt.epr "%s: %s@.usage: bench -- %s@." cmd msg (synopsis 0);
+        exit 1)
   | _ ->
       (* Default run: everything, with the fast Fig. 7 profile so the
          whole suite stays quick; `fig7` runs the paper-scale 52 s

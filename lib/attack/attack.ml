@@ -10,9 +10,8 @@
    network reply ring).  No verdict ever derives from attacker-side
    bookkeeping — see the oracle-soundness invariant in DESIGN.md.
 
-   CHERIoT scenarios fork from a shared post-boot Machine.snapshot per
-   farm chunk (the boot image is seed-independent), so every outcome is
-   a pure function of (family, model, seed, armed) and the matrix is
+   Every CHERIoT cell boots its own machine, so every outcome is a pure
+   function of (family, model, seed, armed) and the matrix is
    byte-identical for every --jobs value. *)
 
 module Cap = Capability
@@ -468,21 +467,6 @@ let run_cheriot img ~family ~armed ~seed =
     at_metrics = Agg.of_forensics img.ai_frn ~cycles:(Machine.cycles machine);
   }
 
-(* One shared post-boot image (and one snapshot) per chunk: the image
-   is seed-independent, so forking is trivially byte-identical to a
-   fresh boot. *)
-let run_cheriot_chunk ~armed tasks =
-  match tasks with
-  | [] -> []
-  | _ ->
-      let img = build_image () in
-      let snap = Machine.snapshot img.ai_machine in
-      List.map
-        (fun (family, seed) ->
-          Machine.restore img.ai_machine snap;
-          run_cheriot img ~family ~armed ~seed)
-        tasks
-
 (* ------------------------------------------------------------------ *)
 (* MPU baseline: the same stories on flat memory with 8 regions.      *)
 (* ------------------------------------------------------------------ *)
@@ -763,38 +747,21 @@ let run_mpu ~family ~armed ~seed =
 let run_one ?(armed = true) ~family ~model ~seed () =
   match model with
   | Mpu -> run_mpu ~family ~armed ~seed
-  | Cheriot -> List.hd (run_cheriot_chunk ~armed [ (family, seed) ])
-
-(* Contiguous seed chunks, as in Fault_campaign: one shared post-boot
-   image per chunk on the CHERIoT side. *)
-let chunk_seeds ~jobs seeds =
-  let n = List.length seeds in
-  let size = max 1 ((n + jobs - 1) / jobs) in
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | s :: rest ->
-        if k = size then go (List.rev cur :: acc) [ s ] 1 rest
-        else go acc (s :: cur) (k + 1) rest
-  in
-  go [] [] 0 seeds
+  | Cheriot -> run_cheriot (build_image ()) ~family ~armed ~seed
 
 let run_matrix ?(jobs = 1) ?(armed = true) ~base_seed ~n () =
   let seeds = List.init n (fun i -> base_seed + i) in
-  let chunks = chunk_seeds ~jobs seeds in
   let tasks =
     List.concat_map
       (fun family ->
         List.concat_map
-          (fun model -> List.map (fun c -> (model, family, c)) chunks)
+          (fun model -> List.map (fun seed -> (family, model, seed)) seeds)
           models)
       families
   in
-  let work (model, family, seeds) =
-    match model with
-    | Cheriot -> run_cheriot_chunk ~armed (List.map (fun s -> (family, s)) seeds)
-    | Mpu -> List.map (fun seed -> run_mpu ~family ~armed ~seed) seeds
-  in
-  List.concat (Farm.map_list ~jobs work tasks)
+  Farm.map_list ~jobs
+    (fun (family, model, seed) -> run_one ~armed ~family ~model ~seed ())
+    tasks
 
 let cell outcomes ~family ~model =
   List.filter (fun o -> o.at_family = family && o.at_model = model) outcomes

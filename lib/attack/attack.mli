@@ -28,10 +28,10 @@
     memory contents read through privileged physical accessors — never
     from attacker-side bookkeeping such as success flags.
 
-    Everything a scenario does derives from its seed; CHERIoT runs are
-    forked from a shared post-boot {!Machine.snapshot} per farm chunk,
-    so outcomes (verdict, evidence, journal, dump fields) are
-    byte-identical across runs and across [--jobs] values. *)
+    Everything a scenario does derives from its seed, and every CHERIoT
+    run boots its own machine, so outcomes (verdict, evidence, journal,
+    dump fields) are byte-identical across runs and across [--jobs]
+    values. *)
 
 type family =
   | Uaf_reachback
@@ -94,18 +94,17 @@ type outcome = {
 val run_one :
   ?armed:bool -> family:family -> model:model -> seed:int -> unit -> outcome
 (** One scenario, a pure function of [(family, model, seed, armed)].
-    CHERIoT runs walk the same snapshot-fork path {!run_matrix} uses
-    (boot, snapshot, restore, run), so a matrix cell replays
-    bit-exactly.  [armed] defaults to [true]; [false] runs the
+    A CHERIoT run boots a fresh machine — exactly what {!run_matrix}
+    does for each cell — so a matrix cell replays bit-exactly.  [armed] defaults to [true]; [false] runs the
     negative control (the same scenario with the exploit payload
     disarmed), which must classify [Benign] on both models. *)
 
 val run_matrix :
   ?jobs:int -> ?armed:bool -> base_seed:int -> n:int -> unit -> outcome list
 (** Run every family on both models over seeds
-    [base_seed .. base_seed + n - 1], farmed over [jobs] domains
-    ({!Farm.map_list}; CHERIoT scenarios fork from one shared post-boot
-    snapshot per chunk).  Outcomes are ordered family-major, then
+    [base_seed .. base_seed + n - 1]: one {!run_one} task per
+    [(family, model, seed)], farmed over [jobs] domains
+    ({!Farm.map_list}).  Outcomes are ordered family-major, then
     model ([Cheriot] before [Mpu]), then seed — byte-identical for
     every job count. *)
 

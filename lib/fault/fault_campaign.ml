@@ -193,10 +193,9 @@ let check_stored_caps machine alloc =
 
 (* The seed-independent prefix of a scenario: machine, observability,
    engine, network world, boot, wiring.  Split from the per-seed body so
-   the from-snapshot path can build it once, [Machine.snapshot] the
-   post-boot state, and fork every scenario from the shared image with
-   [Machine.restore] + [Fault_inject.reseed] — byte-identical to booting
-   from scratch, without re-paying boot per seed. *)
+   [run_forked] can build it once, snapshot the post-boot state, and
+   fork seeds from it with restore + [Fault_inject.reseed] — the oracle
+   that a fork is byte-identical to booting from scratch. *)
 
 type image = {
   im_machine : Machine.t;
@@ -257,7 +256,10 @@ let build_image ?trace ?prepare ~seed () =
       Ok { im_machine = machine; im_frn = frn; im_engine = engine;
            im_net = net; im_sys = sys }
 
-let scenario_body img ~steps ~seed () =
+(* The driver's iteration count; everything else derives from the seed. *)
+let steps = 60
+
+let scenario_body img ~seed () =
   let machine = img.im_machine in
   let frn = img.im_frn in
   let engine = img.im_engine in
@@ -431,40 +433,16 @@ let scenario_body img ~steps ~seed () =
       }
   end
 
-let run_scenario ?(steps = 60) ?trace ?prepare ?(from_snapshot = false) ~seed
-    () =
+let run_scenario ?trace ?prepare ~seed () =
   match build_image ?trace ?prepare ~seed () with
   | Error (machine, e) -> boot_failed_outcome machine ~seed e
-  | Ok img ->
-      (* Replaying a seed from a from-snapshot campaign must walk the
-         identical path: snapshot the post-boot image, then restore and
-         reseed before running — not merely boot and run.  The fork is
-         byte-identical to a fresh boot (pinned by test_farm), but the
-         replay tool should reproduce the campaign's exact sequence of
-         machine operations, so `bench -- crashdump <seed>
-         --from-snapshot` reproduces snapshot-mode crashes
-         bit-exactly by construction. *)
-      if from_snapshot then begin
-        let snap = Machine.snapshot img.im_machine in
-        Machine.restore img.im_machine snap;
-        Fault_inject.reseed img.im_engine ~seed
-      end;
-      scenario_body img ~steps ~seed ()
+  | Ok img -> scenario_body img ~seed ()
 
-(* Contiguous chunks for the from-snapshot path: one shared post-boot
-   image (and one snapshot) per domain. *)
-let chunk_seeds ~jobs seeds =
-  let n = List.length seeds in
-  let size = max 1 ((n + jobs - 1) / jobs) in
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | s :: rest ->
-        if k = size then go (List.rev cur :: acc) [ s ] 1 rest
-        else go acc (s :: cur) (k + 1) rest
-  in
-  go [] [] 0 seeds
-
-let run_chunk ?(steps = 60) seeds =
+(* The fork == scratch oracle at campaign scale: one post-boot image,
+   one snapshot, and every seed forked from it with restore + reseed —
+   the fault engine, netsim, micro-reboots and repeated restores of a
+   single snapshot all have to come out identical to a fresh boot. *)
+let run_forked seeds =
   match seeds with
   | [] -> []
   | first :: _ -> (
@@ -477,27 +455,17 @@ let run_chunk ?(steps = 60) seeds =
             (fun seed ->
               Machine.restore img.im_machine snap;
               Fault_inject.reseed img.im_engine ~seed;
-              scenario_body img ~steps ~seed ())
+              scenario_body img ~seed ())
             seeds)
 
-let run ?(verbose = false) ?steps ?(jobs = 1) ?(from_snapshot = false)
-    ~base_seed ~n () =
+let run ?(verbose = false) ?(jobs = 1) ~base_seed ~n () =
   (* Scenarios are independent pure functions of their seed, so they
      farm across domains; all reporting happens here after the merge, in
-     seed order, making the output byte-identical for every job count.
-     [from_snapshot] forks each scenario from one shared post-boot image
-     per domain instead of rebooting — the restore-then-reseed dance is
-     byte-identical to a fresh boot (pinned by test_farm), it just
-     skips the boot work. *)
+     seed order, making the output byte-identical for every job count. *)
   let outcomes =
-    if from_snapshot then
-      List.concat
-        (Farm.map_list ~jobs (run_chunk ?steps)
-           (chunk_seeds ~jobs (List.init n (fun i -> base_seed + i))))
-    else
-      Farm.map_list ~jobs
-        (fun seed -> run_scenario ?steps ~seed ())
-        (List.init n (fun i -> base_seed + i))
+    Farm.map_list ~jobs
+      (fun seed -> run_scenario ~seed ())
+      (List.init n (fun i -> base_seed + i))
   in
   let failures = ref 0 in
   List.iter

@@ -43,49 +43,44 @@ val iters : default:int -> int
     environment when set to a positive integer, else [default]. *)
 
 val run_scenario :
-  ?steps:int ->
   ?trace:Obs.t ->
   ?prepare:(Machine.t -> unit) ->
-  ?from_snapshot:bool ->
   seed:int ->
   unit ->
   outcome
-(** One scenario.  [steps] is the driver's iteration count (default
-    60); everything else derives from [seed].  [trace] attaches an
-    event sink to the scenario's machine before boot; without it a
-    private default sink is attached anyway, because every scenario
-    carries a {!Forensics} flight recorder fed from the trace stream
-    (both are observationally invisible, so the outcome is
+(** One scenario, booted fresh; everything derives from [seed].  [trace]
+    attaches an event sink to the scenario's machine before boot;
+    without it a private default sink is attached anyway, because every
+    scenario carries a {!Forensics} flight recorder fed from the trace
+    stream (both are observationally invisible, so the outcome is
     unchanged).  [prepare] runs on the freshly created machine before
     anything else touches it — the hook the replay tooling uses to
     attach a recording or verifying input-journal session covering the
-    whole scenario, boot included.  [from_snapshot] (default false)
-    replays the seed exactly the way {!run} with [~from_snapshot:true]
-    ran it: snapshot the post-boot image, restore, reseed, then run —
-    so a crash observed in a snapshot-mode campaign reproduces
-    bit-exactly by construction (regression-pinned by
-    test_fault_campaign). *)
+    whole scenario, boot included.  {!run} runs every seed exactly this
+    way, so replaying a campaign seed needs no flag. *)
+
+val run_forked : int list -> outcome list
+(** The fork == scratch oracle, not a speed path: boot one post-boot
+    image, take one {!Machine.snapshot}, then for each seed in order
+    [restore] it, {!Fault_inject.reseed} the engine and run the
+    scenario body.  Every outcome must equal [run_scenario ~seed ()]
+    structurally, dumps and metrics included (pinned by test_farm).
+    Booting is cheaper than forking (EXPERIMENTS.md, "Campaign
+    forking"), so nothing but tests calls this. *)
 
 val run :
   ?verbose:bool ->
-  ?steps:int ->
   ?jobs:int ->
-  ?from_snapshot:bool ->
   base_seed:int ->
   n:int ->
   unit ->
   int * outcome list
-(** Run seeds [base_seed .. base_seed + n - 1]; returns the number of
-    scenarios with violations (0 = campaign passed) and every outcome.
-    Violations are printed with their seed and full fault trace.
+(** Run seeds [base_seed .. base_seed + n - 1], each via
+    {!run_scenario}; returns the number of scenarios with violations
+    (0 = campaign passed) and every outcome.  Violations are printed
+    with their seed and full fault trace.
 
-    [jobs] farms scenarios across that many domains ({!Farm.run});
+    [jobs] farms scenarios across that many domains ({!Farm.map_list});
     outcomes and all printing stay in seed order, so the output is
     byte-identical for every job count.  Default 1 (sequential, no
-    domain operations).
-
-    [from_snapshot] (default false) builds one post-boot image per
-    domain, takes a {!Machine.snapshot}, and forks every scenario from
-    it with [restore] + {!Fault_inject.reseed} instead of rebooting.
-    Outcomes and output are byte-identical to the from-scratch path for
-    every job count (pinned by test_farm); only the wall clock drops. *)
+    domain operations). *)

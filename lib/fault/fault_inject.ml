@@ -216,7 +216,7 @@ let create ?(period = 4_000) ?(weights = default_weights) ?(storm_len = 12)
   in
   t.listener <-
     Some
-      (Machine.add_tick_listener ~period:0 machine (fun now ->
+      (Machine.add_tick_listener machine (fun now ->
            if t.armed then begin
              (match t.storm with
              | Some (irq, n) when n > 0 ->

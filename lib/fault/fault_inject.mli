@@ -55,10 +55,10 @@ val seed : t -> int
 
 val reseed : t -> seed:int -> unit
 (** Rewind the engine onto a fresh seed: replaces the RNG with the state
-    [create ~seed] would have built.  Used by the from-snapshot campaign
-    path, which restores a shared post-boot machine image (resetting the
-    engine with it) and then points the engine at the scenario's own
-    seed before running. *)
+    [create ~seed] would have built.  Used by
+    {!Fault_campaign.run_forked}, which restores a shared post-boot
+    machine image (resetting the engine with it) and then points the
+    engine at the scenario's own seed before running. *)
 
 val injected : t -> int
 (** Number of fault decisions taken so far. *)

@@ -47,8 +47,7 @@ type revoker_state = Idle | Sweeping of { mutable next : int; mutable debt : int
 
 type listener = {
   lk_fn : int -> unit;
-  lk_period : int;  (* 0 = parked: fires only at explicitly set wakeups *)
-  mutable lk_next : int;  (* absolute cycle of next wakeup; max_int = never *)
+  mutable lk_next : int;  (* absolute cycle of next wakeup; max_int = parked *)
   mutable lk_alive : bool;
 }
 
@@ -124,7 +123,7 @@ let emit m kind =
   | Some p -> Profiler.ingest p ~cycle:m.cycles kind
 
 let no_listener =
-  { lk_fn = ignore; lk_period = 0; lk_next = max_int; lk_alive = false }
+  { lk_fn = ignore; lk_next = max_int; lk_alive = false }
 
 let mem m = m.mem
 let sram_base m = Memory.base m.mem
@@ -178,12 +177,10 @@ let request_attention m =
   dirty m
 
 (* Tick listeners: a dynamic array of records with absolute wakeup
-   cycles.  [period = 1] (the default) reproduces the legacy behaviour of
-   being called at every [tick]; [period = 0] parks the listener until an
-   explicit [set_listener_wakeup]. *)
+   cycles.  A listener starts parked and runs only at the wakeups set
+   with [set_listener_wakeup]. *)
 
-let add_tick_listener ?(period = 1) m f =
-  if period < 0 then invalid_arg "add_tick_listener: negative period";
+let add_tick_listener m f =
   if m.n_listeners = Array.length m.listeners then begin
     (* Compact dead entries before growing so removed listeners don't
        occupy slots forever. *)
@@ -202,14 +199,7 @@ let add_tick_listener ?(period = 1) m f =
       m.listeners <- bigger
     end
   end;
-  let l =
-    {
-      lk_fn = f;
-      lk_period = period;
-      lk_next = (if period > 0 then m.cycles + period else max_int);
-      lk_alive = true;
-    }
-  in
+  let l = { lk_fn = f; lk_next = max_int; lk_alive = true } in
   m.listeners.(m.n_listeners) <- l;
   m.n_listeners <- m.n_listeners + 1;
   dirty m;
@@ -412,8 +402,8 @@ let slow_tick m n =
   for i = 0 to count - 1 do
     let l = m.listeners.(i) in
     if l.lk_alive && m.cycles >= l.lk_next then begin
-      (* Re-arm before the call so the listener can override it. *)
-      l.lk_next <- (if l.lk_period > 0 then m.cycles + l.lk_period else max_int);
+      (* Park before the call so the listener can set its next wakeup. *)
+      l.lk_next <- max_int;
       l.lk_fn m.cycles
     end
   done;

@@ -101,19 +101,17 @@ val skew_timer : t -> int -> unit
 
 type listener_handle
 
-val add_tick_listener : ?period:int -> t -> (int -> unit) -> listener_handle
-(** Register a listener, O(1).  [period] (default 1) is the wakeup
-    cadence in cycles: the listener is called from the first [tick] that
-    reaches each wakeup, with the current cycle count, before interrupt
-    delivery.  The default reproduces the legacy every-tick behaviour;
-    [period = 0] parks the listener so it only runs at wakeups explicitly
-    scheduled with {!set_listener_wakeup} — event-driven hardware should
-    use this so quiescent devices cost nothing per tick. *)
+val add_tick_listener : t -> (int -> unit) -> listener_handle
+(** Register a listener, O(1).  It starts parked: it is called, with the
+    current cycle count and before interrupt delivery, only from the
+    first [tick] that reaches a wakeup scheduled with
+    {!set_listener_wakeup}, so quiescent devices cost nothing per tick.
+    Each call parks it again; a listener that wants to run later sets
+    its next wakeup from inside the call. *)
 
 val set_listener_wakeup : t -> listener_handle -> at:int -> unit
 (** Schedule the listener's next wakeup at the given absolute cycle
-    (overrides any pending wakeup; [max_int] parks it).  For periodic
-    listeners this resets the phase; the period re-arms afterwards. *)
+    (overrides any pending wakeup; [max_int] parks it). *)
 
 val remove_tick_listener : t -> listener_handle -> unit
 (** Deregister; the handle becomes inert (double-remove is harmless).

@@ -37,7 +37,7 @@ type t = {
   rxq : string Queue.t;
   txbuf : Bytes.t;
   mutable dns : (string * P.ipv4) list;
-  mutable wallclock : int;
+  mutable sntp_seconds : int;
   mutable conns : srv_conn list;
   mutable publishes : (int * string * string) list;
   mutable pods : (int * int) list;
@@ -52,7 +52,7 @@ let frames_sent t = t.sent
 let frames_received t = t.received
 let last_icmp_echo_reply t = t.last_echo_reply
 let add_dns_record t name ip = t.dns <- (name, ip) :: t.dns
-let set_wallclock t s = t.wallclock <- s
+let set_sntp_seconds t s = t.sntp_seconds <- s
 
 (* The world is event-driven: the tick listener is parked until the
    earliest due cycle across the three timed queues. *)
@@ -318,7 +318,7 @@ let handle_udp t ip u =
     | Some P.Sntp_request ->
         udp_to_device ~delay:t.sntp_latency t ~src_ip:ntp_ip ~src_port:P.sntp_port
           ~dst_port:u.P.udp_src
-          (P.encode_sntp (P.Sntp_reply { sntp_seconds = t.wallclock }))
+          (P.encode_sntp (P.Sntp_reply { sntp_seconds = t.sntp_seconds }))
     | Some (P.Sntp_reply _) | None -> ()
   end
 
@@ -409,7 +409,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) ?(mmio_base = 0x1100_000
       rxq = Queue.create ();
       txbuf = Bytes.make 2048 '\000';
       dns = [];
-      wallclock = 1_700_000_000;
+      sntp_seconds = 1_700_000_000;
       conns = [];
       publishes = [];
       pods = [];
@@ -451,7 +451,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) ?(mmio_base = 0x1100_000
   Machine.add_device machine ~base:mmio_base ~size:mmio_size
     { Machine.Device.name = device_name; read; write };
   t.listener <-
-    Some (Machine.add_tick_listener ~period:0 machine (fun now -> fire_due t now));
+    Some (Machine.add_tick_listener machine (fun now -> fire_due t now));
   update_wakeup t;
   (* The world's whole state lives in [t] (the MMIO device reads through
      it); connection and TLS records are shared with in-flight closures,
@@ -462,7 +462,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) ?(mmio_base = 0x1100_000
       let rxq = Queue.copy t.rxq in
       let txbuf = Bytes.copy t.txbuf in
       let dns = t.dns in
-      let wallclock = t.wallclock in
+      let sntp_seconds = t.sntp_seconds in
       let conns =
         List.map
           (fun c ->
@@ -488,7 +488,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) ?(mmio_base = 0x1100_000
         Queue.transfer (Queue.copy rxq) t.rxq;
         Bytes.blit txbuf 0 t.txbuf 0 (Bytes.length txbuf);
         t.dns <- dns;
-        t.wallclock <- wallclock;
+        t.sntp_seconds <- sntp_seconds;
         t.conns <- List.map (fun (c, _, _, _, _, _, _) -> c) conns;
         List.iter
           (fun (c, state, seq, ack, stream, tls, subs) ->

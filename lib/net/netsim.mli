@@ -58,7 +58,7 @@ val detach : t -> unit
     without leaking listeners. *)
 
 val add_dns_record : t -> string -> Packet.ipv4 -> unit
-val set_wallclock : t -> int -> unit
+val set_sntp_seconds : t -> int -> unit
 (** Seconds served by the SNTP server. *)
 
 val broker_publish_at : t -> cycles:int -> topic:string -> message:string -> unit

@@ -120,7 +120,7 @@ let run ?(fast = false) ?machine () =
     (Machine.Device.ram ~name:"led" ~size:16);
   let net = Netsim.attach ~latency:p.p_latency ~sntp_latency:p.p_sntp_latency machine in
   Netsim.add_dns_record net "backend.example.com" Netsim.broker_ip;
-  Netsim.set_wallclock net 1_750_000_000;
+  Netsim.set_sntp_seconds net 1_750_000_000;
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
   let k = sys.System.kernel in
   (* Profile costs are per-kernel/per-stack state, never module-level

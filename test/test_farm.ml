@@ -90,34 +90,30 @@ let test_campaign_parallel_equals_sequential () =
         true (a = b))
     out_seq out_par
 
-(* The ISSUE-6 acceptance property: forking every scenario from a shared
-   post-boot snapshot (restore + reseed instead of rebooting) is
-   outcome-for-outcome identical to the from-scratch sequential run, at
-   every job count — the snapshot carries the *whole* machine, so the
-   only thing that may differ is the wall clock. *)
-let test_campaign_from_snapshot_equals_scratch () =
+(* The fork == scratch oracle at campaign scale: forking every scenario
+   from one post-boot snapshot (restore + reseed instead of rebooting)
+   is outcome-for-outcome identical to fresh boots — the snapshot
+   carries the *whole* machine, so fault engine, netsim, micro-reboots
+   and repeated restores of the one snapshot must all come out the same.
+   Outcomes are plain data, so structural equality covers dumps and
+   metrics too. *)
+let test_forked_equals_scratch () =
   let _, scratch = Fault_campaign.run ~jobs:1 ~base_seed:5000 ~n:6 () in
-  List.iter
-    (fun jobs ->
-      let bad, forked =
-        Fault_campaign.run ~jobs ~from_snapshot:true ~base_seed:5000 ~n:6 ()
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "violations (jobs=%d)" jobs)
-        0 bad;
-      Alcotest.(check int)
-        (Printf.sprintf "outcome count (jobs=%d)" jobs)
-        (List.length scratch) (List.length forked);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check int) "seed order" a.Fault_campaign.oc_seed
-            b.Fault_campaign.oc_seed;
-          Alcotest.(check bool)
-            (Printf.sprintf "forked outcome for seed %d identical (jobs=%d)"
-               a.Fault_campaign.oc_seed jobs)
-            true (a = b))
-        scratch forked)
-    [ 1; 2; 4 ]
+  let forked = Fault_campaign.run_forked (List.init 6 (fun i -> 5000 + i)) in
+  Alcotest.(check int) "outcome count" (List.length scratch)
+    (List.length forked);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check int) "seed order" a.Fault_campaign.oc_seed
+        b.Fault_campaign.oc_seed;
+      Alcotest.(check (list string))
+        (Printf.sprintf "no violations (seed %d)" b.Fault_campaign.oc_seed)
+        [] b.Fault_campaign.oc_violations;
+      Alcotest.(check bool)
+        (Printf.sprintf "forked outcome for seed %d identical"
+           a.Fault_campaign.oc_seed)
+        true (a = b))
+    scratch forked
 
 let () =
   Alcotest.run "cheriot_farm"
@@ -139,7 +135,7 @@ let () =
         [
           Alcotest.test_case "parallel campaign == sequential" `Slow
             test_campaign_parallel_equals_sequential;
-          Alcotest.test_case "from-snapshot campaign == from-scratch" `Slow
-            test_campaign_from_snapshot_equals_scratch;
+          Alcotest.test_case "forked campaign == from-scratch" `Slow
+            test_forked_equals_scratch;
         ] );
     ]

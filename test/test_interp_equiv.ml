@@ -421,7 +421,7 @@ let test_fault_mid_block () =
     check_loop_matrix "fault mid-block" ~trips:200 (fun machine ->
         let mem = Machine.mem machine in
         let sram = Machine.sram_base machine in
-        let h = Machine.add_tick_listener ~period:0 machine (fun _ ->
+        let h = Machine.add_tick_listener machine (fun _ ->
             Memory.set_revoked mem ~addr:sram ~len:8) in
         Machine.set_listener_wakeup machine h ~at:501;
         fun () -> [])

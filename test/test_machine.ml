@@ -99,35 +99,43 @@ let test_revoker_sweep_duration () =
     true
     (abs (dt - expected) < 200)
 
-let test_listener_period () =
+(* Periodic hardware re-arms itself: each call parks the listener, and
+   the listener sets its next wakeup from inside the call. *)
+let test_listener_self_rearm () =
   let m = mk () in
   let fired = ref [] in
-  ignore (Machine.add_tick_listener ~period:10 m (fun c -> fired := c :: !fired));
+  let h = ref None in
+  let l =
+    Machine.add_tick_listener m (fun c ->
+        fired := c :: !fired;
+        Machine.set_listener_wakeup m (Option.get !h) ~at:(c + 10))
+  in
+  h := Some l;
+  Machine.set_listener_wakeup m l ~at:10;
   Machine.tick m 5;
   Alcotest.(check (list int)) "before due" [] !fired;
   Machine.tick m 5;
-  Alcotest.(check (list int)) "fires at period" [ 10 ] !fired;
-  (* One big tick past several periods: listeners run at tick
+  Alcotest.(check (list int)) "fires at wakeup" [ 10 ] !fired;
+  (* One big tick past several wakeups: listeners run at tick
      granularity, so this is a single call at the current cycle. *)
   Machine.tick m 25;
-  Alcotest.(check (list int)) "one call per tick" [ 35; 10 ] (!fired)
-
-let test_listener_every_tick_default () =
-  let m = mk () in
-  let calls = ref 0 in
-  ignore (Machine.add_tick_listener m (fun _ -> incr calls));
-  Machine.tick m 3;
-  Machine.tick m 1;
-  Machine.tick m 7;
-  Alcotest.(check int) "legacy: every tick call" 3 !calls
+  Alcotest.(check (list int)) "one call per tick" [ 35; 10 ] !fired
 
 let test_listener_remove () =
   let m = mk () in
   let calls = ref 0 in
-  let h = Machine.add_tick_listener m (fun _ -> incr calls) in
+  let h = ref None in
+  let l =
+    Machine.add_tick_listener m (fun c ->
+        incr calls;
+        Machine.set_listener_wakeup m (Option.get !h) ~at:(c + 1))
+  in
+  h := Some l;
+  Machine.set_listener_wakeup m l ~at:1;
   Machine.tick m 1;
   Machine.tick m 1;
-  Machine.remove_tick_listener m h;
+  Machine.remove_tick_listener m l;
+  Machine.set_listener_wakeup m l ~at:3;
   Machine.tick m 1;
   Machine.tick m 1;
   Alcotest.(check int) "stopped after remove" 2 !calls
@@ -135,7 +143,7 @@ let test_listener_remove () =
 let test_listener_parked_wakeup () =
   let m = mk () in
   let fired = ref [] in
-  let h = Machine.add_tick_listener ~period:0 m (fun c -> fired := c :: !fired) in
+  let h = Machine.add_tick_listener m (fun c -> fired := c :: !fired) in
   Machine.tick m 50;
   Alcotest.(check (list int)) "parked" [] !fired;
   Machine.set_listener_wakeup m h ~at:80;
@@ -160,8 +168,7 @@ let suite =
     Alcotest.test_case "irq disabled defers" `Quick test_irq_disabled_defers;
     Alcotest.test_case "revoker completes" `Quick test_revoker_sweep_completes;
     Alcotest.test_case "revoker duration" `Quick test_revoker_sweep_duration;
-    Alcotest.test_case "listener period" `Quick test_listener_period;
-    Alcotest.test_case "listener every tick" `Quick test_listener_every_tick_default;
+    Alcotest.test_case "listener self re-arm" `Quick test_listener_self_rearm;
     Alcotest.test_case "listener remove" `Quick test_listener_remove;
     Alcotest.test_case "listener parked wakeup" `Quick test_listener_parked_wakeup;
     Alcotest.test_case "seconds conversion" `Quick test_seconds_conversion;

@@ -108,7 +108,7 @@ let test_dns_and_sntp () =
   ignore
     (boot_world (fun w ctx ->
          Netsim.add_dns_record w.net "broker.example.com" Netsim.broker_ip;
-         Netsim.set_wallclock w.net 1_234_567;
+         Netsim.set_sntp_seconds w.net 1_234_567;
          start_net ctx;
          let ctx', name = str_arg ctx "broker.example.com" in
          (match Kernel.call ctx' ~import:"netapi.socket_connect_tcp"
