@@ -17,7 +17,8 @@ test:
 # (the suites read QCHECK_SEED; a failure prints the seed to replay).
 SEEDS ?= 1 7 42 1234 987654321
 PROP_TESTS = test_cap_props test_alloc_props test_mem_props test_obs_props \
-	test_forensics test_interp_equiv test_snapshot_equiv test_attack
+	test_forensics test_interp_equiv test_snapshot_equiv test_attack \
+	test_machine
 
 test-seeds: build
 	@for s in $(SEEDS); do \
@@ -96,7 +97,11 @@ bench:
 # tight loop must beat the legacy stepper (the executable spec) by at
 # least 3x.  Same-process runs measure ~8-12x, so CI noise on shared
 # runners doesn't flap, while a regression that loses most of the
-# compiled engine's advantage fails loudly.
+# compiled engine's advantage fails loudly.  Call row: a warm
+# compartment-call round trip into a callee needing 1024 B of stack may
+# cost at most 1.8x one needing 64 B (interleaved best-of-7 in one
+# process; measured 1.04-1.20x with bulk zeroing trips, 3.1-4.2x when
+# every 16-byte zeroing trip runs its own closure chain).
 perf-gate: build
 	dune exec bench/main.exe -- perf-gate
 

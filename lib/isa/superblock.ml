@@ -18,7 +18,10 @@ module Pk = Packed_cap
    closure or side-exits, retiring one instruction on the legacy
    stepper (the executable spec) before it tries a block again.  The
    switcher's stack-zeroing loops (Cgetaddr; Beq out; Csc; Csc;
-   Cincaddrimm; J back) are each one such block that spins on itself.
+   Cincaddrimm; J back) are each one such block that spins on itself,
+   and under deferral their back-edge retires every further full trip
+   it can prove exit-free and fault-free in one step ([bulk_zero]), so
+   a call pays per zeroed range, not per 16 zeroed bytes.
 
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
@@ -77,6 +80,13 @@ module Pk = Packed_cap
      sweep will reach, can only become stale-early — the sweep finds
      fewer tags, never more — which [Machine.defer_window] treats as
      safe.
+
+   - A bulk zeroing step stands for whole trips the per-trip chain
+     would have run deferred: it takes only trips that [back] would
+     admit, whose exit branch falls through and whose stores pass, and
+     applies exactly their registers, memory, instret, cycles and
+     spin-allowance effects; the trip after it runs on the chain (see
+     [bulk_zero] and DESIGN.md).
 
    - The memoized load-filter caches (one per Lw/Sw slot) are valid iff
      the authorising capability is VALUE-unchanged (the four packed
@@ -315,6 +325,81 @@ let[@inline] back ctx head ~mc ~len pcc acc tgt =
   end
   else leave ctx acc len tgt
 
+(* Bulk zeroing trips.  A self-looping block of the shape
+
+     entry: Cgetaddr r, p
+            Beq r, e, out
+            Csc zero, 0(p) ... Csc zero, 8(k-1)(p)
+            Cincaddrimm p, p, 8k
+            J entry
+
+   with r, p, e distinct (both switcher stack-zeroing loops, k = 2)
+   stores an untagged zero over k granules per trip and changes no
+   register but r's and p's cursors.  [zero_idiom] recognises it and
+   returns (r, p, e, 8k).  r = 0 or p = 0 would make the trip's effect
+   on them a no-op or a fault, so both are excluded. *)
+let zero_idiom dec ~entry ~idx ~last =
+  let ins j = (Array.unsafe_get dec j).d_ins in
+  let k = last - idx - 3 in
+  if k < 1 then None
+  else
+    match (ins idx, ins (idx + 1), ins (last - 1), ins last) with
+    | Isa.Cgetaddr (r, p), Isa.Beq (r', e, _), Isa.Cincaddrimm (p', p'', step), Isa.J _
+      when r' = r && p' = p && p'' = p
+           && step = Memory.granule_size * k
+           && dec.(last).d_target = entry
+           && r <> 0 && p <> 0 && r <> p && e <> r && e <> p
+           && List.for_all
+                (fun j -> ins (idx + 2 + j) = Isa.Csc (0, Memory.granule_size * j, p))
+                (List.init k Fun.id) ->
+        Some (r, p, e, step)
+    | _ -> None
+
+(* At a zero idiom's back-edge, under deferral, retire in one step the
+   largest number [n] of further full trips that the per-trip path
+   would also have run deferred, without a fault and without taking
+   the exit:
+   - [back] admits trip i iff [sspins] covers it and acc + i*mc fits
+     [Machine.defer_window] (a trip costs exactly its worst case [mc]:
+     it has no Lw, Sw or MMIO access), so n <= sspins and
+     acc + n*mc <= [Machine.defer_budget];
+   - trip i's Beq compares p0 + (i-1)*stride with e's cursor, which no
+     trip writes, so the exit stays untaken on trips 1..n iff
+     n <= (e - p0) / stride whenever that distance is a non-negative
+     multiple of the stride;
+   - the stores' loop-invariant checks — tag, seal, Store, Mem_cap,
+     granule alignment, the load filter on p's base — were just passed
+     by the trip ending here, on the same p meta and base, the same
+     cursor modulo 8 and the same revocation bits (only a tick edits
+     them, and none runs under deferral), so they pass on every later
+     trip; the bounds and SRAM-range tests are monotone in the address,
+     and the lower ones held a stride below p0, so only the last
+     store's upper tests bound n.
+   The effect is one [Memory.zero_priv] (the same bytes, tags and tag
+   count as n*k untagged zero stores), r = the last trip's cursor, p's
+   cursor + n*stride, [len*n] instructions and [mc*n] cycles.  The exit
+   trip, a faulting trip, and the trip [back] refuses for fuel or the
+   horizon are left to the closure chain. *)
+let bulk_zero ctx ~r ~p ~e ~stride ~len ~mc acc =
+  let pk = ctx.spk and mem = ctx.smem in
+  let op = p lsl 2 in
+  let p0 = Array.unsafe_get pk (op + 3) in
+  let top = min (Array.unsafe_get pk (op + 2)) (Memory.base mem + Memory.size mem) in
+  let n = min ctx.sspins ((Machine.defer_budget ctx.sm - acc) / mc) in
+  let n = min n ((top - p0) / stride) in
+  let d = ucur pk e - p0 in
+  let n = if d >= 0 && d mod stride = 0 then min n (d / stride) else n in
+  if n > 0 then begin
+    let bytes = n * stride in
+    Memory.zero_priv mem ~addr:p0 ~len:bytes;
+    uint pk r (p0 + bytes - stride);
+    Array.unsafe_set pk (op + 3) (p0 + bytes);
+    ctx.sinstret <- ctx.sinstret + (len * n);
+    ctx.sspins <- ctx.sspins - n;
+    acc + (mc * n)
+  end
+  else acc
+
 (* Worst-case cycle cost of one instruction, for the defer_window
    precondition (mem_cap = mmio = 3 dominates mem_word). *)
 let instr_maxcost = function
@@ -348,6 +433,7 @@ let compile ctx dec ~base ~idx =
      [sret_n]; every completed trip retired exactly [len]. *)
   let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in
   let self = ref false in
+  let idiom = zero_idiom dec ~entry ~idx ~last in
   let rec build j : Cap.t -> int -> int =
     if j > last then
       (* No terminator before the segment end: fall off; the dispatcher
@@ -783,7 +869,16 @@ let compile ctx dec ~base ~idx =
           let tgt = slot.d_target in
           if tgt = entry then begin
             self := true;
-            fun pcc acc -> back ctx head ~mc ~len pcc (retire ctx acc) tgt
+            match idiom with
+            | Some (r, p, e, stride) ->
+                fun pcc acc ->
+                  let acc = retire ctx acc in
+                  let acc =
+                    if acc >= 0 then bulk_zero ctx ~r ~p ~e ~stride ~len ~mc acc
+                    else acc
+                  in
+                  back ctx head ~mc ~len pcc acc tgt
+            | None -> fun pcc acc -> back ctx head ~mc ~len pcc (retire ctx acc) tgt
           end
           else fun _pcc acc -> leave ctx (retire ctx acc) nr tgt
       | Isa.Cjal (rd, _) ->

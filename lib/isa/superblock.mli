@@ -16,7 +16,13 @@
     memoized load-filter caches re-validate against
     {!Memory.filter_epoch} on every access) or guarded by a side-exit
     at block entry (PCC bounds, fuel, the event-horizon window for
-    deferred tick batching). *)
+    deferred tick batching).  A stack-zeroing self-loop
+    ([Cgetaddr r,p; Beq r,e,out; Csc zero,0(p) … Csc zero,8(k-1)(p);
+    Cincaddrimm p,p,8k; J entry]) retires in one step, at its
+    back-edge under deferral, every further full trip that fits the
+    spin allowance and the horizon and neither takes the exit nor
+    faults: the trip just completed proved the loop-invariant store
+    checks, and bounds and exit have closed forms. *)
 
 type dslot
 (** One pre-decoded instruction: branch label operands resolved to

@@ -1,3 +1,14 @@
+(* The simulated core: SRAM, MMIO, clock, interrupts, tick listeners
+   and the background revoker (interface and contract in machine.mli).
+
+   Host cost follows simulated work.  [tick] below the cached event
+   horizon is one addition; the revoker's sweep is applied lazily from
+   the accumulated lag; and both tag-bitmap scans on the slow path are
+   bounded — a sweep step scans only the granules it sweeps, and
+   [recompute_horizon] only the granules whose sweep could still come
+   before the horizon's other terms — so a slow tick never pays for
+   the untagged SRAM between the sweep frontier and the next tag. *)
+
 module Cap = Capability
 
 module Device = struct
@@ -141,6 +152,7 @@ let filter_epoch m = Memory.filter_epoch m.mem
    horizon (0, or already passed) answers [false], which is always
    safe. *)
 let defer_window m n = m.cycles + n < m.horizon
+let defer_budget m = m.horizon - m.cycles - 1
 
 let set_irq_enabled m b =
   m.irq_enabled <- b;
@@ -237,7 +249,9 @@ let revoker_interrupt_futex_word m = m.rev_futex
    arithmetic is additive, so one batched call here is equivalent to any
    sequence of smaller calls totalling [n] — provided no tag was set or
    cleared in between, which the event horizon and the tag-set hook
-   guarantee for the lazily accumulated [rev_lag]. *)
+   guarantee for the lazily accumulated [rev_lag].  The tag-bitmap scan
+   covers only this step's window, so its cost follows the granules
+   swept, not the distance to the next tag. *)
 let revoker_advance m n =
   match m.rev_state with
   | Idle -> ()
@@ -250,15 +264,12 @@ let revoker_advance m n =
       let take = min steps remaining in
       let stop = s.next + take in
       (* Only tagged granules can be affected by a sweep step; skip the
-         untagged stretches via the tag bitmap. *)
-      let g = ref s.next in
-      let continue = ref true in
-      while !continue do
-        match Memory.next_tagged m.mem ~from:!g with
-        | Some t when t < stop ->
-            ignore (Memory.sweep_granule m.mem t);
-            g := t + 1
-        | Some _ | None -> continue := false
+         untagged stretches via the tag bitmap, never scanning past this
+         step's window. *)
+      let g = ref (Memory.next_tagged m.mem ~from:s.next ~limit:stop) in
+      while !g < stop do
+        ignore (Memory.sweep_granule m.mem !g);
+        g := Memory.next_tagged m.mem ~from:(!g + 1) ~limit:stop
       done;
       s.next <- stop;
       if take > 0 && tracing m then
@@ -369,8 +380,18 @@ let deliver m =
        attention: now;
      - the timer deadline;
      - the earliest live listener wakeup;
-     - the sweep reaching the next tagged granule (the only granules a
-       sweep step can affect), and sweep completion (epoch/IRQ).
+     - sweep completion (epoch/IRQ), and the sweep reaching the next
+       tagged granule (the only granules a sweep step can affect).
+   The tag term is found by a bounded scan.  With [h] the horizon from
+   every other term (completion included, so [h] is finite) and
+   D = h - cycles + debt, a tagged granule [g] lowers it iff
+     cycles + (g - next + 1) * rate - debt < h,
+   i.e. iff (g - next + 1) * rate <= D - 1, i.e. iff
+   g < next + (D - 1) / rate (D >= 1; for D <= 0 no granule does and
+   the limit is at most [next], so nothing is scanned).  The scan stops
+   at that limit, which is tight: the horizon is exactly what an
+   unbounded scan gives, and a scan one granule shorter can miss the
+   granule that decides it.
    Stale-but-early horizons are safe (a spurious slow tick is a no-op);
    anything that could create an *earlier* event must call [dirty]. *)
 let recompute_horizon m =
@@ -388,9 +409,11 @@ let recompute_horizon m =
   | Sweeping s ->
       let total = Memory.granule_count m.mem in
       add (m.cycles + ((total - s.next) * m.rev_rate) - s.debt);
-      (match Memory.next_tagged m.mem ~from:s.next with
-      | Some g -> add (m.cycles + ((g - s.next + 1) * m.rev_rate) - s.debt)
-      | None -> ()));
+      let limit =
+        min total (s.next + ((!h - m.cycles + s.debt - 1) / m.rev_rate))
+      in
+      let g = Memory.next_tagged m.mem ~from:s.next ~limit in
+      if g < limit then add (m.cycles + ((g - s.next + 1) * m.rev_rate) - s.debt));
   m.horizon <- !h
 
 let slow_tick m n =

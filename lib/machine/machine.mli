@@ -55,6 +55,11 @@ val defer_window : t -> int -> bool
     invalidates the horizon ([raise_irq], posture changes, device work)
     makes this answer [false] until the next slow tick. *)
 
+val defer_budget : t -> int
+(** The largest [n] for which [defer_window m n] holds (negative when
+    none does), so a caller can size a whole run of batched work in one
+    division instead of asking [defer_window] once per step. *)
+
 val in_sram : t -> int -> bool
 (** Whether [addr] lies inside SRAM (as opposed to MMIO space). *)
 

@@ -116,43 +116,43 @@ let cap_clear_range m g0 g1 =
     end
   done
 
-let next_tagged m ~from =
-  let total = granule_count m in
-  if from >= total then None
+(* The tag bitmap read a 64-bit word at a time, without boxing: only
+   compared against zero, so host byte order does not matter. *)
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Index of the lowest set bit of a non-zero bitmap byte. *)
+let lowest_bit b =
+  let rec go j = if b land (1 lsl j) <> 0 then j else go (j + 1) in
+  go 0
+
+(* First tagged granule in [from, min limit granule_count), else
+   [limit].  Never reads a bitmap byte past the one holding granule
+   [stop - 1], so the cost is the distance scanned, not the distance to
+   the next tag. *)
+let next_tagged m ~from ~limit =
+  let stop = min limit (granule_count m) in
+  let from = max from 0 in
+  if from >= stop then limit
   else begin
-    let bytes = Bytes.length m.tagged in
-    let lowest_bit b j0 =
-      let rec go j = if b land (1 lsl j) <> 0 then j else go (j + 1) in
-      go j0
-    in
-    let found = ref (-1) in
-    (* partial leading byte *)
+    let tb = m.tagged in
+    let bend = ((stop - 1) lsr 3) + 1 in
     let i0 = from lsr 3 in
-    let b0 =
-      Char.code (Bytes.unsafe_get m.tagged i0)
-      land lnot ((1 lsl (from land 7)) - 1)
-      land 0xff
+    let b0 = Char.code (Bytes.unsafe_get tb i0) land (0xff lsl (from land 7)) in
+    let found =
+      if b0 <> 0 then (i0 lsl 3) lor lowest_bit b0
+      else begin
+        let i = ref (i0 + 1) in
+        while !i + 8 <= bend && unsafe_get64 tb !i = 0L do
+          i := !i + 8
+        done;
+        while !i < bend && Bytes.unsafe_get tb !i = '\000' do
+          incr i
+        done;
+        if !i < bend then (!i lsl 3) lor lowest_bit (Char.code (Bytes.unsafe_get tb !i))
+        else stop
+      end
     in
-    if b0 <> 0 then found := (i0 lsl 3) lor lowest_bit b0 (from land 7)
-    else begin
-      (* word-at-a-time over the rest of the bitmap *)
-      let i = ref (i0 + 1) in
-      while !found < 0 && !i + 8 <= bytes do
-        if Bytes.get_int64_le m.tagged !i = 0L then i := !i + 8
-        else begin
-          let j = ref !i in
-          while Char.code (Bytes.unsafe_get m.tagged !j) = 0 do
-            incr j
-          done;
-          found := (!j lsl 3) lor lowest_bit (Char.code (Bytes.unsafe_get m.tagged !j)) 0
-        end
-      done;
-      while !found < 0 && !i < bytes do
-        let b = Char.code (Bytes.unsafe_get m.tagged !i) in
-        if b <> 0 then found := (!i lsl 3) lor lowest_bit b 0 else incr i
-      done
-    end;
-    if !found >= 0 && !found < total then Some !found else None
+    if found < stop then found else limit
   end
 
 (* Revocation bitmap *)
@@ -331,14 +331,15 @@ let clear_tag_at m addr =
   end
 
 let iter_caps m f =
+  let total = granule_count m in
   let rec go g =
-    match next_tagged m ~from:g with
-    | None -> ()
-    | Some g ->
-        (match m.caps.(g) with
-        | Some c -> f ~addr:(m.base + (g * granule_size)) c
-        | None -> assert false);
-        go (g + 1)
+    let g = next_tagged m ~from:g ~limit:total in
+    if g < total then begin
+      (match m.caps.(g) with
+      | Some c -> f ~addr:(m.base + (g * granule_size)) c
+      | None -> assert false);
+      go (g + 1)
+    end
   in
   go 0
 

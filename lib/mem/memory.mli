@@ -15,7 +15,16 @@
     All checked accessors take the authorising capability and raise
     [Fault] exactly where the hardware would trap.  The [_priv] accessors
     model the allocator's privileged heap capability and the loader's root
-    authority: they bypass permission checks and the load filter. *)
+    authority: they bypass permission checks and the load filter.
+
+    A tag bitmap mirrors the capability array and backs the background
+    revoker: [next_tagged] finds the next live capability inside a
+    bounded window, so a sweep step and the machine's event horizon pay
+    for the granules they can reach, not for the SRAM up to the next
+    tag.  [zero_priv] clears a granule range's bytes and tags in one
+    pass, with the same bytes, tags and tag count as storing an untagged
+    zero capability over each granule — which is what lets the
+    superblock engine retire whole stack-zeroing trips at once. *)
 
 type access = Read | Write | Exec
 
@@ -131,6 +140,9 @@ val store32_off : t -> int -> int -> unit
 val load_cap_priv : t -> addr:int -> Capability.t
 val store_cap_priv : t -> addr:int -> Capability.t -> unit
 val zero_priv : t -> addr:int -> len:int -> unit
+(** Zero [\[addr, addr+len)] and clear the tags of every granule it
+    touches, skipping untagged bitmap bytes; raises [Fault] if the range
+    leaves SRAM.  No check, no tag-set hook. *)
 val blit_string_priv : t -> addr:int -> string -> unit
 
 (* Fault injection (single-event upsets; used by the {!Fault_inject}
@@ -164,10 +176,15 @@ val revoked_granule_count : t -> int
 
 val granule_count : t -> int
 
-val next_tagged : t -> from:int -> int option
-(** Index of the first granule [>= from] holding a valid capability, or
-    [None].  Scans the tag bitmap a word at a time, so it is proportional
-    to the distance to the next live capability, not to [from]. *)
+val next_tagged : t -> from:int -> limit:int -> int
+(** [next_tagged m ~from ~limit] is the index of the first granule in
+    [\[from, min limit (granule_count m))] holding a valid capability,
+    or [limit] itself if there is none (also when [from >= limit]); a
+    negative [from] scans from granule 0.  Reads the tag bitmap a word
+    at a time and never past the byte holding the last granule of that
+    window, so its cost is proportional to the distance it may scan —
+    the revoker bounds it by the sweep step or the event horizon — not
+    to the distance to the next live capability.  Allocates nothing. *)
 
 val set_tag_set_hook : t -> (unit -> unit) -> unit
 (** Install a callback invoked immediately {e before} any granule's tag

@@ -32,7 +32,8 @@ let code_base = 0x4000_0000
    granule is revoked (the load filter refuses it), 11 a stack-like
    capability (no Global, Store_local), 13 a load-only one without
    Load_global/Load_mutable (loads through it attenuate), 14 a data one
-   without Mem_cap.  SRAM starts with tagged capabilities in its first
+   without Mem_cap, 12 a data one straddling the top of SRAM (random
+   programs never use it; the zero-idiom generator does).  SRAM starts with tagged capabilities in its first
    granules.  Branch targets come from a fixed label pool placed at
    random positions, so [Isa.assemble] always validates. *)
 
@@ -171,7 +172,7 @@ let traced_machine traced =
   Machine.set_trace machine obs;
   (machine, obs)
 
-(* The data registers (r6, r7, r9-r11, r13, r14) and the initial SRAM
+(* The data registers (r6, r7, r9-r14) and the initial SRAM
    image described above [gen_instr]. *)
 let setup_data machine interp =
   let sram = Machine.sram_base machine in
@@ -200,6 +201,10 @@ let setup_data machine interp =
   Interp.set_reg interp 14
     @@ Cap.make_root ~base:sram ~top:(sram + 256)
          ~perms:(Perm.Set.of_list [ Perm.Load; Perm.Store; Perm.Global ]);
+  let sram_top = sram + Machine.sram_size machine in
+  Interp.set_reg interp 12
+    @@ Cap.make_root ~base:(sram_top - 256) ~top:(sram_top + 256)
+         ~perms:Perm.Set.read_write;
   Memory.set_revoked mem ~addr:(sram + 512) ~len:8;
   for g = 0 to 15 do
     Memory.store_cap_priv mem ~addr:(sram + (8 * g))
@@ -699,6 +704,121 @@ let test_run_inside_self_loop () =
        (fun traced -> [ (traced, 200, 10); (traced, 200, 50); (traced, 5_000, 100) ])
        [ true; false ])
 
+(* ------------------------------------------------------------------ *)
+(* Bulk zeroing trips: the zero idiom (Cgetaddr r,p; Beq r,e,out; k    *)
+(* Csc zero stores; Cincaddrimm p,p,8k; J back) retires whole runs of  *)
+(* trips in one step under deferral.  Generated variants must match    *)
+(* the legacy stepper exactly, whatever cuts the run short.            *)
+(* ------------------------------------------------------------------ *)
+
+(* One generated idiom: k stores per trip, r/p/e drawn from scratch
+   registers (e occasionally aliasing r or p, which disqualifies the
+   bulk path), the authority wide, narrow, sealed, filter-revoked,
+   stack-like, without Store, without Mem_cap, straddling the top of
+   SRAM or untagged, a start
+   offset that is sometimes below the base or misaligned, and an end
+   that is reachable, past the top, or at a distance that is not a
+   multiple of the stride (never equal to r: the loop runs into a
+   bounds fault).  Returns the program and a description. *)
+let gen_zero_idiom rng =
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let k = 1 + int 3 in
+  let stride = 8 * k in
+  let scratch = [| 1; 2; 3; 4; 5; 15 |] in
+  let r = pick scratch in
+  let rec other xs = let x = pick scratch in if List.mem x xs then other xs else x in
+  let p = other [ r ] in
+  let e = match int 10 with 0 -> r | 1 -> p | _ -> other [ r; p ] in
+  (* 0 stands for an untagged copy of r6 *)
+  let auth = pick [| 6; 6; 6; 6; 6; 7; 9; 10; 11; 12; 13; 14; 0 |] in
+  let start =
+    match int 10 with
+    | 0 -> -8
+    | 1 -> (8 * int 8) + 4
+    | _ -> 8 * int (match auth with 7 -> 4 | 12 -> 32 | _ -> 40)
+  in
+  let trips = int 48 in
+  let dist =
+    (trips * stride)
+    + (match int 6 with 0 -> 4 | 1 when k > 1 -> 8 | 2 -> 2048 | _ -> 0)
+  in
+  let setup_p =
+    if auth = 0 then [ Isa.I (Isa.Ccleartag (p, 6)) ]
+    else if auth = 9 then [ Isa.I (Isa.Mv (p, 9)) ]
+      (* sealed: the cursor cannot move, so no start offset *)
+    else [ Isa.I (Isa.Mv (p, auth)); Isa.I (Isa.Cincaddrimm (p, p, start)) ]
+  in
+  let setup_e =
+    if e = r || e = p then []
+    else [ Isa.I (Isa.Cgetaddr (e, p)); Isa.I (Isa.Addi (e, e, dist)) ]
+  in
+  let stores = List.init k (fun j -> Isa.I (Isa.Csc (0, 8 * j, p))) in
+  let prog =
+    Isa.assemble ~name:"zero_idiom"
+      (setup_p @ setup_e
+      @ [ Isa.L "loop"; Isa.I (Isa.Cgetaddr (r, p)); Isa.I (Isa.Beq (r, e, "done")) ]
+      @ stores
+      @ [ Isa.I (Isa.Cincaddrimm (p, p, stride)); Isa.I (Isa.J "loop");
+          Isa.L "done"; Isa.I (Isa.Li (r, 1)); Isa.I Isa.Halt ])
+  in
+  let what =
+    Printf.sprintf "k=%d r%d p%d e%d auth r%d start %d dist %d" k r p e auth
+      start dist
+  in
+  (prog, what, trips * (k + 4))
+
+(* Machine-side perturbations for one run, rebuilt identically for every
+   engine from [seed]: bytes and tags over the first KiB of SRAM (so the
+   zeroing is visible in both), optionally a timer deadline landing
+   inside the loop (its IRQ delivered mid-spin, its horizon cutting a
+   bulk run short) and a revoker sweep in flight. *)
+let zero_idiom_setup seed ~span machine =
+  let rng = Random.State.make [| seed; 0x2e70 |] in
+  let int n = Random.State.int rng n in
+  let mem = Machine.mem machine in
+  let sram = Machine.sram_base machine in
+  for w = 32 to 255 do
+    Memory.store_priv mem ~addr:(sram + (4 * w)) ~size:4 (1 + int 0xffff)
+  done;
+  let cap =
+    Cap.make_root ~base:(sram + 64) ~top:(sram + 96) ~perms:Perm.Set.read_write
+  in
+  let sram_top = sram + Machine.sram_size machine in
+  for _ = 1 to int 40 do
+    Memory.store_cap_priv mem ~addr:(sram + (8 * (16 + int 112))) cap;
+    Memory.store_cap_priv mem ~addr:(sram_top - (8 * (1 + int 32))) cap
+  done;
+  let delivered = ref [] in
+  if int 2 = 0 then begin
+    Machine.set_irq_enabled machine true;
+    Machine.set_deliver_hook machine
+      (Some (fun n -> delivered := (n, Machine.cycles machine) :: !delivered));
+    Machine.set_timer machine (Some (1 + int (span + 40)))
+  end;
+  if int 3 = 0 then begin
+    Memory.set_revoked mem ~addr:(sram + 64) ~len:8;
+    Machine.revoker_kick machine
+  end;
+  fun () -> List.rev !delivered
+
+let prop_zero_idiom =
+  QCheck.Test.make ~name:"bulk zeroing trips == legacy" ~count:400 seed_gen
+    (fun s ->
+      let rng = Random.State.make [| s; 0x2e0 |] in
+      let prog, what, trips_len = gen_zero_idiom rng in
+      let span = (trips_len * 2) + 20 in
+      let fuel =
+        if Random.State.int rng 3 = 0 then 1 + Random.State.int rng (trips_len + 20)
+        else 100_000
+      in
+      ignore
+        (check_matrix
+           (Printf.sprintf "%s fuel %d" what fuel)
+           ~fuel prog
+           (zero_idiom_setup s ~span));
+      true)
+
 let () =
   Alcotest.run "cheriot_interp_equiv"
     [
@@ -734,5 +854,6 @@ let () =
           Alcotest.test_case "IRQ mid zero loop" `Quick test_zero_loop_irq;
           Alcotest.test_case "run nested inside a self-loop" `Quick
             test_run_inside_self_loop;
+          Qcheck_seed.to_alcotest prop_zero_idiom;
         ] );
     ]

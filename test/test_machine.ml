@@ -158,6 +158,122 @@ let test_seconds_conversion () =
   Alcotest.(check bool) "33 MHz" true
     (abs_float (Machine.seconds_of_cycles 33_000_000 -. 1.0) < 1e-9)
 
+(* Horizon safety: the cached event horizon, with its bitmap scan
+   bounded by the window that can still lower it, must never let a fast
+   tick skip an observable event.  Two machines get the same random
+   tag layout on both sides of the sweep frontier (capabilities whose
+   bases are revoked, so the sweep clears them, and live ones), the
+   same revocation edits, tagged stores and tag clears mid-sweep, timer
+   deadlines and listener wakeups, and the same random ticks; one of
+   them requests attention before every tick, so every tick it takes is
+   a slow tick that settles the sweep.  After every step the tag
+   bitmaps, revocation epochs and busy flags must agree, and so must
+   the cycles at which IRQs (the revoker's included) were delivered and
+   the listener fired. *)
+let prop_horizon_safe =
+  QCheck.Test.make ~name:"bounded horizon scan == slow tick every tick"
+    ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n in
+      let size = 4096 in
+      let granules = size / Memory.granule_size in
+      let rate = 1 + int 6 in
+      let machine attention =
+        let m = Machine.create ~sram_size:size () in
+        Machine.set_revoker_rate m ~cycles_per_granule:rate;
+        let log = ref [] in
+        Machine.set_deliver_hook m
+          (Some (fun n -> log := (n, Machine.cycles m) :: !log));
+        let l =
+          Machine.add_tick_listener m (fun c -> log := (-1, c) :: !log)
+        in
+        (m, attention, log, l)
+      in
+      let pair = [ machine false; machine true ] in
+      let each f = List.iter (fun (m, att, _, l) -> f m att l) pair in
+      let m0, _, _, _ = List.hd pair in
+      let base = Machine.sram_base m0 in
+      let auth =
+        Cap.make_root ~base ~top:(base + size) ~perms:Perm.Set.read_write
+      in
+      let cap_to g =
+        Cap.exn
+          (Cap.set_bounds (Cap.with_address_exn auth (base + (8 * g)))
+             ~length:8)
+      in
+      let store () =
+        let at = int granules and target = int granules in
+        each (fun m _ _ ->
+            Memory.store_cap_priv (Machine.mem m) ~addr:(base + (8 * at))
+              (cap_to target))
+      in
+      let revoke () =
+        let g = int granules in
+        let len = 8 * (1 + int (min 16 (granules - g))) in
+        let set = int 3 > 0 in
+        each (fun m _ _ ->
+            let mem = Machine.mem m in
+            if set then Memory.set_revoked mem ~addr:(base + (8 * g)) ~len
+            else Memory.clear_revoked mem ~addr:(base + (8 * g)) ~len)
+      in
+      for _ = 1 to 1 + int 8 do
+        revoke ()
+      done;
+      for _ = 1 to int 200 do
+        store ()
+      done;
+      each (fun m _ _ -> Machine.revoker_kick m);
+      let probe what =
+        let view (m, _, log, _) =
+          let tags = ref [] in
+          Memory.iter_caps (Machine.mem m) (fun ~addr _ -> tags := addr :: !tags);
+          ( Machine.cycles m,
+            Machine.revoker_epoch m,
+            Machine.revoker_busy m,
+            !tags,
+            !log )
+        in
+        match List.map view pair with
+        | [ fast; slow ] when fast <> slow ->
+            let c, e, _, t, l = fast and c', e', _, t', l' = slow in
+            QCheck.Test.fail_reportf
+              "after %s (seed %d, rate %d): cycles %d/%d epoch %d/%d, %d/%d \
+               tags, %d/%d events"
+              what seed rate c c' e e' (List.length t) (List.length t')
+              (List.length l) (List.length l')
+        | _ -> ()
+      in
+      for _ = 1 to 200 do
+        (match int 12 with
+        | 0 -> store (); probe "store"
+        | 1 -> revoke (); probe "revocation edit"
+        | 2 ->
+            let at = int granules in
+            each (fun m _ _ ->
+                ignore (Memory.clear_tag_at (Machine.mem m) (base + (8 * at))));
+            probe "tag clear"
+        | 3 ->
+            let d = 1 + int (rate * 40) in
+            each (fun m _ _ -> Machine.set_timer m (Some (Machine.cycles m + d)));
+            probe "timer"
+        | 4 ->
+            let d = 1 + int (rate * 40) in
+            each (fun m _ l ->
+                Machine.set_listener_wakeup m l ~at:(Machine.cycles m + d));
+            probe "listener wakeup"
+        | 5 ->
+            each (fun m _ _ -> if not (Machine.revoker_busy m) then Machine.revoker_kick m);
+            probe "kick"
+        | _ ->
+            let n = if int 8 = 0 then 1 + int (rate * 200) else 1 + int (rate * 2) in
+            each (fun m att _ ->
+                if att then Machine.request_attention m;
+                Machine.tick m n);
+            probe (Printf.sprintf "tick %d" n));
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "tick advances" `Quick test_tick_advances;
@@ -172,6 +288,7 @@ let suite =
     Alcotest.test_case "listener remove" `Quick test_listener_remove;
     Alcotest.test_case "listener parked wakeup" `Quick test_listener_parked_wakeup;
     Alcotest.test_case "seconds conversion" `Quick test_seconds_conversion;
+    Qcheck_seed.to_alcotest prop_horizon_safe;
   ]
 
 let () = Alcotest.run "cheriot_machine" [ ("machine", suite) ]

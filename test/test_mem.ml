@@ -168,22 +168,54 @@ let test_sweep_granule () =
   Alcotest.(check int) "no revoked granules" 0 (Memory.revoked_granule_count m)
 
 let test_tag_census () =
-  (* The O(1) tagged-granule count and the bitmap-driven next_tagged
-     scan that back the revoker's fast sweep. *)
+  (* The O(1) tagged-granule count that backs the revoker's sweep
+     scheduling. *)
   let m = mk () in
   let auth = rw_cap () in
   Alcotest.(check int) "empty" 0 (Memory.tagged_granule_count m);
   Memory.store_cap ~auth m ~addr:(base + 512) auth;
   Memory.store_cap ~auth m ~addr:(base + 1024) auth;
   Alcotest.(check int) "two tagged" 2 (Memory.tagged_granule_count m);
-  let next = Alcotest.(check (option int)) in
-  next "first from 0" (Some 64) (Memory.next_tagged m ~from:0);
-  next "first at itself" (Some 64) (Memory.next_tagged m ~from:64);
-  next "second" (Some 128) (Memory.next_tagged m ~from:65);
-  next "none past last" None (Memory.next_tagged m ~from:129);
   Memory.store ~auth m ~addr:(base + 512) ~size:1 0;
-  Alcotest.(check int) "overwrite drops count" 1 (Memory.tagged_granule_count m);
-  next "skips cleared" (Some 128) (Memory.next_tagged m ~from:0)
+  Alcotest.(check int) "overwrite drops count" 1 (Memory.tagged_granule_count m)
+
+let test_next_tagged_bounded () =
+  (* The bitmap scan behind the revoker's sweep and event horizon: the
+     first tagged granule in [from, min limit granule_count), else the
+     limit itself.  Tags at granules 64, 128 and 200, and at the last
+     granule, with limits landing before, at and after each hit, mid
+     bitmap byte and mid 64-bit word, and past the end of SRAM. *)
+  let m = mk () in
+  let auth = rw_cap () in
+  let total = Memory.granule_count m in
+  List.iter
+    (fun g -> Memory.store_cap ~auth m ~addr:(base + (8 * g)) auth)
+    [ 64; 128; 200; total - 1 ];
+  let next what expect ~from ~limit =
+    Alcotest.(check int) what expect (Memory.next_tagged m ~from ~limit)
+  in
+  next "first from 0" 64 ~from:0 ~limit:total;
+  next "first at itself" 64 ~from:64 ~limit:total;
+  next "second" 128 ~from:65 ~limit:total;
+  next "last granule" (total - 1) ~from:201 ~limit:total;
+  next "limit before the hit" 63 ~from:0 ~limit:63;
+  next "limit at the hit" 64 ~from:0 ~limit:64;
+  next "limit just past the hit" 64 ~from:0 ~limit:65;
+  next "limit mid-byte, hit below it" 128 ~from:65 ~limit:131;
+  next "limit mid-byte, no hit" 130 ~from:129 ~limit:130;
+  next "from mid-word, limit mid-word" 190 ~from:129 ~limit:190;
+  next "limit mid-word, hit inside" 200 ~from:129 ~limit:203;
+  next "limit past granule_count, hit" (total - 1) ~from:201
+    ~limit:(total + 100);
+  next "limit past granule_count, none" (total + 100) ~from:total
+    ~limit:(total + 100);
+  next "from = limit" 64 ~from:64 ~limit:64;
+  next "from > limit" 10 ~from:64 ~limit:10;
+  next "negative from scans from 0" 64 ~from:(-5) ~limit:total;
+  next "negative from, limit before the hit" 3 ~from:(-100) ~limit:3;
+  next "negative from and limit" (-2) ~from:(-9) ~limit:(-2);
+  Memory.store ~auth m ~addr:(base + 512) ~size:1 0;
+  next "skips cleared" 128 ~from:0 ~limit:total
 
 let test_zero () =
   let m = mk () in
@@ -236,6 +268,7 @@ let suite =
     Alcotest.test_case "filter checks base" `Quick test_load_filter_checks_base_not_cursor;
     Alcotest.test_case "revoker sweep" `Quick test_sweep_granule;
     Alcotest.test_case "tag census" `Quick test_tag_census;
+    Alcotest.test_case "bounded next_tagged" `Quick test_next_tagged_bounded;
     Alcotest.test_case "zeroing" `Quick test_zero;
     QCheck_alcotest.to_alcotest prop_raw_roundtrip;
     QCheck_alcotest.to_alcotest prop_revoked_never_loads_tagged;

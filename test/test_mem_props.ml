@@ -157,11 +157,11 @@ let prop_sweep_bitmap_equiv =
         revoked_gs;
       let swept_a = ref 0 and swept_b = ref 0 in
       let rec sweep_tagged from =
-        match Memory.next_tagged a ~from with
-        | None -> ()
-        | Some g ->
-            if Memory.sweep_granule a g then incr swept_a;
-            sweep_tagged (g + 1)
+        let g = Memory.next_tagged a ~from ~limit:granules in
+        if g < granules then begin
+          if Memory.sweep_granule a g then incr swept_a;
+          sweep_tagged (g + 1)
+        end
       in
       sweep_tagged 0;
       for g = 0 to granules - 1 do
@@ -170,9 +170,13 @@ let prop_sweep_bitmap_equiv =
       !swept_a = !swept_b && caps_of a = caps_of b)
 
 let prop_counts_coherent =
-  QCheck.Test.make ~name:"incremental counts == recount; next_tagged == scan" ~count:150
-    (QCheck.pair ops_arb (QCheck.int_bound (granules - 1)))
-    (fun (ns, from) ->
+  QCheck.Test.make
+    ~name:"incremental counts == recount; next_tagged ~limit == scan"
+    ~count:150
+    (QCheck.triple ops_arb
+       (QCheck.int_range (-20) (granules - 1))
+       (QCheck.int_range (-20) (granules + 100)))
+    (fun (ns, from, limit) ->
       let m = mk () in
       List.iter (fun n -> (decode n).fast m) ns;
       let tagged = List.length (caps_of m) in
@@ -180,13 +184,22 @@ let prop_counts_coherent =
       for g = 0 to granules - 1 do
         if Memory.is_revoked m (base + (g * 8)) then incr revoked
       done;
-      let scan_next =
-        List.find_opt (fun (addr, _) -> (addr - base) / 8 >= from) (caps_of m)
-        |> Option.map (fun (addr, _) -> (addr - base) / 8)
+      (* Reference: the first tagged granule in [from, limit) by a
+         plain scan of every capability, else [limit]; both the whole
+         SRAM and the random window must agree. *)
+      let scan_next ~from ~limit =
+        List.find_opt
+          (fun (addr, _) ->
+            let g = (addr - base) / 8 in
+            g >= from && g < limit)
+          (caps_of m)
+        |> Option.fold ~none:limit ~some:(fun (addr, _) -> (addr - base) / 8)
       in
       Memory.tagged_granule_count m = tagged
       && Memory.revoked_granule_count m = !revoked
-      && Memory.next_tagged m ~from = scan_next)
+      && Memory.next_tagged m ~from ~limit:granules
+         = scan_next ~from ~limit:granules
+      && Memory.next_tagged m ~from ~limit = scan_next ~from ~limit)
 
 let suite =
   List.map Qcheck_seed.to_alcotest
