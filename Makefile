@@ -101,7 +101,10 @@ bench:
 # compartment-call round trip into a callee needing 1024 B of stack may
 # cost at most 1.8x one needing 64 B (interleaved best-of-7 in one
 # process; measured 1.04-1.20x with bulk zeroing trips, 3.1-4.2x when
-# every 16-byte zeroing trip runs its own closure chain).
+# every 16-byte zeroing trip runs its own closure chain).  Traced row:
+# the warm tight loop with an Obs ring attached may cost at most 1.3x
+# the loop with no sink (interleaved best-of-9 in one process; measured
+# 0.97-1.05x, and 1.76-2.39x when a sink switched deferral off).
 perf-gate: build
 	dune exec bench/main.exe -- perf-gate
 

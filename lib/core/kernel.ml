@@ -516,7 +516,7 @@ let fault_info_of ~comp ~thread cause addr =
 (* Crash-dump capture (flight recorder, see Forensics).  Pure
    observation: render the interpreter's register file to strings and
    hand them over — no ticks, no simulated-memory access, and nothing is
-   even allocated unless tracing is on and a recorder is attached. *)
+   even allocated unless a recorder is attached. *)
 
 let reg_names =
   [| "zero"; "ra"; "csp"; "cgp"; "ct0"; "ct1"; "ct2"; "ca0"; "ca1"; "ca2";
@@ -526,14 +526,13 @@ let render_regs t =
   List.init 16 (fun i -> (reg_names.(i), Cap.to_string (Interp.get_reg t.interp i)))
 
 let capture_dump t ~tid ~comp ~cause ~addr ~pc ~instr ~handler_ran =
-  if Machine.tracing t.machine then
-    match Machine.forensics t.machine with
-    | None -> ()
-    | Some f ->
-        Forensics.record_fault f
-          ~cycle:(Machine.cycles t.machine)
-          ~comp ~thread:tid ~cause ~addr ~pc ~instr ~regs:(render_regs t)
-          ~handler_ran
+  match Machine.forensics t.machine with
+  | None -> ()
+  | Some f ->
+      Forensics.record_fault f
+        ~cycle:(Machine.cycles t.machine)
+        ~comp ~thread:tid ~cause ~addr ~pc ~instr ~regs:(render_regs t)
+        ~handler_ran
 
 let trap_cause_string = function
   | Interp.Cap_fault v -> Cap.violation_to_string v
@@ -547,15 +546,14 @@ let switcher_instr_at pc =
 
 let record_scoped_fault ctx ~cause ~addr =
   let t = ctx.kernel in
-  if Machine.tracing t.machine then
-    match Machine.forensics t.machine with
-    | None -> ()
-    | Some f ->
-        Forensics.record_fault f
-          ~cycle:(Machine.cycles t.machine)
-          ~comp:(comp_name t ctx.comp_id) ~thread:ctx.thread_id ~cause ~addr
-          ~pc:(-1) ~instr:"scoped handler" ~regs:(render_regs t)
-          ~handler_ran:true
+  match Machine.forensics t.machine with
+  | None -> ()
+  | Some f ->
+      Forensics.record_fault f
+        ~cycle:(Machine.cycles t.machine)
+        ~comp:(comp_name t ctx.comp_id) ~thread:ctx.thread_id ~cause ~addr
+        ~pc:(-1) ~instr:"scoped handler" ~regs:(render_regs t)
+        ~handler_ran:true
 
 (* The compartment-call dance: native -> interpreted switcher -> native
    callee -> interpreted switcher return -> native. *)

@@ -49,15 +49,15 @@ val run_scenario :
   unit ->
   outcome
 (** One scenario, booted fresh; everything derives from [seed].  [trace]
-    attaches an event sink to the scenario's machine before boot;
-    without it a private default sink is attached anyway, because every
-    scenario carries a {!Forensics} flight recorder fed from the trace
-    stream (both are observationally invisible, so the outcome is
-    unchanged).  [prepare] runs on the freshly created machine before
-    anything else touches it — the hook the replay tooling uses to
-    attach a recording or verifying input-journal session covering the
-    whole scenario, boot included.  {!run} runs every seed exactly this
-    way, so replaying a campaign seed needs no flag. *)
+    attaches an event sink to the scenario's machine before boot.
+    Every scenario carries a {!Forensics} flight recorder fed from the
+    emission stream, with or without [trace] (both are observationally
+    invisible, so the outcome is unchanged).  [prepare] runs on the
+    freshly created machine before anything else touches it — the hook
+    the replay tooling uses to attach a recording or verifying
+    input-journal session covering the whole scenario, boot included.
+    {!run} runs every seed exactly this way, so replaying a campaign
+    seed needs no flag. *)
 
 val run_forked : int list -> outcome list
 (** The fork == scratch oracle, not a speed path: boot one post-boot

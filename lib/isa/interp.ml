@@ -184,7 +184,7 @@ let step t pcc =
   Machine.tick t.machine Cost.instr;
   let sb = t.sb in
   sb.Sb.sinstret <- sb.Sb.sinstret + 1;
-  if sb.Sb.sinstret land 1023 = 0 && Machine.tracing t.machine then
+  if sb.Sb.sinstret land Obs.sample_mask = 0 && Machine.tracing t.machine then
     Machine.emit t.machine (Obs.Instr_sample { instret = sb.Sb.sinstret });
   let m = t.machine in
   let pk = sb.Sb.spk in
@@ -313,17 +313,25 @@ let step t pcc =
       `Next next
   | Isa.Trapif cause -> trap pc (Software cause)
 
+(* Instructions that can retire before the next [Obs.Instr_sample] is
+   due: the sample window a deferred run must stay inside. *)
+let[@inline] sample_room sb = Obs.sample_mask - (sb.Sb.sinstret land Obs.sample_mask)
+
 (* The superblock dispatcher.  Per epoch — the stretch between control
    transfers that change pcc — it caches the pcc's bounds; per block
    entry it validates the hoisted preconditions — pc inside the segment
    and the pcc bounds for the whole block, and enough fuel to retire
    every instruction — then runs the fused closure, deferring tick
    batching when the block's worst-case cost fits under the event
-   horizon.  When a precondition fails it side-exits: it retires exactly
-   one instruction on the legacy [step], which keeps every check, and
-   tries a block again at the next pc.  Fuel-starved and narrow-pcc runs
-   so step one instruction at a time until a whole block fits, and fuel
-   traps and bounds faults behave bit-identically to the spec. *)
+   horizon and its instructions fit in the sample window.  The deferred
+   [Superblock.retire] skips the sample check, so a block that would
+   cross a sample runs undeferred and emits it on the live clock, as
+   the legacy stepper does, sink or no sink.  When a precondition fails
+   it side-exits: it retires exactly one instruction on the legacy
+   [step], which keeps every check, and tries a block again at the next
+   pc.  Fuel-starved and narrow-pcc runs so step one instruction at a
+   time until a whole block fits, and fuel traps and bounds faults
+   behave bit-identically to the spec. *)
 let run_super t fuel pcc0 seg0 =
   let m = t.machine in
   let sb = t.sb in
@@ -377,17 +385,15 @@ let run_super t fuel pcc0 seg0 =
         end
         else begin
           let p0 = if pend >= 0 then pend else 0 in
-          if
-            (not (Machine.tracing m))
-            && Machine.defer_window m (p0 + b.Sb.b_maxcost)
-          then
+          let room = sample_room sb in
+          if len <= room && Machine.defer_window m (p0 + b.Sb.b_maxcost) then
             if b.Sb.b_self then begin
               (* Tight loop: the compiled closure spins on itself for up
-                 to [sspins] extra trips (bounded by the remaining fuel),
-                 re-checking the horizon against the growing batch every
-                 trip; it hands back how many trips it did not use, and
-                 the last trip's length. *)
-              let spins0 = (budget / len) - 1 in
+                 to [sspins] extra trips (bounded by the remaining fuel
+                 and the sample window), re-checking the horizon against
+                 the growing batch every trip; it hands back how many
+                 trips it did not use, and the last trip's length. *)
+              let spins0 = (Int.min budget room / len) - 1 in
               sb.Sb.sspins <- spins0;
               let e = b.Sb.b_run pcc p0 in
               (* A run that stopped deferring mid-way hands back the
@@ -409,15 +415,15 @@ let run_super t fuel pcc0 seg0 =
       end
     (* Re-enter a block that exited to its own entry without re-deriving
        the preconditions that cannot have changed — the pcc bounds and
-       the compiled block itself.  Fuel, tracing and the event horizon
-       (against the carried batch) are re-checked every trip: a
+       the compiled block itself.  Fuel, the sample window and the event
+       horizon (against the carried batch) are re-checked every trip: a
        cache-miss path inside the block ticks for real and can fire
        events.  A sibling of [blocks], not a closure built per entry,
        so entering a block allocates nothing. *)
     and spin b pc e budget =
       let budget = budget - sb.Sb.sret_n in
       let pend = sb.Sb.sret_acc in
-      if e = pc && budget >= b.Sb.b_len && not (Machine.tracing m) then begin
+      if e = pc && budget >= b.Sb.b_len && b.Sb.b_len <= sample_room sb then begin
         let p0 = if pend >= 0 then pend else 0 in
         if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
           spin b pc (b.Sb.b_run pcc p0) budget

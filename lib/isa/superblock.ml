@@ -47,7 +47,9 @@ module Pk = Packed_cap
 
    - Deferred tick batching ([acc] >= 0) is only entered when the whole
      block's worst-case cost fits strictly below the machine's event
-     horizon ([Machine.defer_window]): then every elided tick would have
+     horizon ([Machine.defer_window]) and no instruction it can retire
+     is due an [Obs.Instr_sample] (the dispatcher's sample window, the
+     same with or without a sink): then every elided tick would have
      taken the fast path (no listener, timer or IRQ delivery), nothing
      can observe the clock mid-block, and one batched tick at the
      terminator is exact.  A negative [acc] means "not deferring":
@@ -225,12 +227,13 @@ let[@inline] charge m acc n =
    periodic trace sample.  Tick-before-increment mirrors the legacy
    order exactly — a preemption inside the tick can retire other
    instructions, and the sample boundary must see the post-preemption
-   count.  Under deferral no preemption or tracing is possible, so the
-   inverted order is unobservable there. *)
+   count.  Under deferral no preemption is possible, so the inverted
+   order is unobservable there. *)
 let[@inline] retire ctx acc =
   if acc >= 0 then begin
-    (* Deferred: tracing was off at block entry and no tick runs that
-       could turn it on, so the sample check cannot fire — skip it. *)
+    (* Deferred: the dispatcher admitted this run only inside the sample
+       window, so no instret it retires is due a sample — skip the
+       check. *)
     ctx.sinstret <- ctx.sinstret + 1;
     acc + Cost.instr
   end
@@ -238,7 +241,7 @@ let[@inline] retire ctx acc =
     Machine.tick ctx.sm Cost.instr;
     let n = ctx.sinstret + 1 in
     ctx.sinstret <- n;
-    if n land 1023 = 0 && Machine.tracing ctx.sm then
+    if n land Obs.sample_mask = 0 && Machine.tracing ctx.sm then
       Machine.emit ctx.sm (Obs.Instr_sample { instret = n });
     acc
   end
@@ -427,8 +430,9 @@ let compile ctx dec ~base ~idx =
      re-checking the event horizon against the accumulated batch.
      Deferred execution is atomic — every tick inside it is below the
      horizon, so it takes the fast path and cannot run effects — which
-     is what makes the [sspins] counter and the skipped tracing recheck
-     sound: nothing can preempt or toggle tracing mid-spin.  A trip that
+     is what makes the [sspins] counter sound: nothing can preempt
+     mid-spin, and the dispatcher caps [sspins] to the sample window, so
+     no spin crosses an [Obs.Instr_sample].  A trip that
      leaves early through a mid-block exit reports its own length in
      [sret_n]; every completed trip retired exactly [len]. *)
   let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in

@@ -36,8 +36,8 @@ val create : ?max_dumps:int -> unit -> t
 val auto : unit -> t option
 (** Recorder described by the [CHERIOT_FORENSICS] environment variable:
     unset, empty or ["0"] — [None]; anything else — a default recorder.
-    [Machine.create] attaches one to every new machine that also has a
-    trace sink (forensics rides the trace stream). *)
+    [Machine.create] attaches one to every new machine; it is fed from
+    [Machine.emit] whether or not a trace ring is attached. *)
 
 val ingest : t -> cycle:int -> Obs.kind -> unit
 (** Fold one event into the recorder.  Called by [Machine.emit] for

@@ -27,6 +27,8 @@ type kind =
 
 type event = { cycle : int; kind : kind }
 
+let sample_mask = 1023
+
 let source_of = function
   | Instr_sample _ -> "interp"
   | Irq_enter _ | Irq_exit _ | Revoker_quantum _ | Revoker_done _ -> "machine"

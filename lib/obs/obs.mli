@@ -38,6 +38,11 @@ type kind =
 
 type event = { cycle : int; kind : kind }
 
+val sample_mask : int
+(** The {!Instr_sample} period, minus one: the interpreters emit a
+    sample for each retired instruction whose instret [n] has
+    [n land sample_mask = 0]. *)
+
 val source_of : kind -> string
 (** Emitting subsystem: ["interp"], ["machine"], ["fault"], ["kernel"],
     ["sched"] or ["alloc"]. *)

@@ -14,9 +14,11 @@
    of the same warm compiled block, and multi-exit blocks — a self-loop
    that leaves through a mid-block branch, with fuel running out after
    that branch.  Every program runs twice per engine: traced (the Obs
-   event stream is compared, and an attached ring turns off deferred
-   tick batching) and untraced (deferral on), and the final SRAM bytes
-   and tags are compared too. *)
+   event stream is compared, [Instr_sample] cycle stamps included) and
+   untraced, both on the same deferred-batching path, and the final
+   SRAM bytes and tags are compared too.  Runs that start just below a
+   sample boundary pin the dispatcher's sample window: a deferred run
+   must never retire an instruction that is due a sample. *)
 
 module Cap = Capability
 
@@ -164,8 +166,9 @@ let view machine obs interp outcome =
     s_mem = mem_view machine;
   }
 
-(* A traced machine records the Obs stream; an untraced one runs with
-   deferred tick batching enabled. *)
+(* A traced machine records the Obs stream; an untraced one has no sink.
+   Both take the same engine path: deferral depends on the sample
+   window, never on whether a sink is attached. *)
 let traced_machine traced =
   let machine = Machine.create () in
   let obs = if traced then Some (Obs.create ()) else None in
@@ -211,15 +214,33 @@ let setup_data machine interp =
       (if g land 1 = 0 then rw else stack)
   done
 
+(* Retire exactly [n] instructions on a two-instruction spin mapped
+   beside the program (it runs out of fuel), so the next run starts at
+   instret [n] on the same interpreter. *)
+let warm_up interp n =
+  let base = code_base + 0x1_0000 in
+  let prog =
+    Isa.assemble ~name:"warm"
+      [ Isa.L "spin"; Isa.I (Isa.Addi (1, 1, 1)); Isa.I (Isa.J "spin") ]
+  in
+  Interp.map_segment interp ~base prog;
+  let pcc =
+    Cap.make_root ~base ~top:(base + Isa.code_bytes prog) ~perms:Perm.Set.executable
+  in
+  ignore (Interp.run ~fuel:n interp (Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit)));
+  assert (Interp.instret interp = n)
+
 (* Run [prog] from its entry sentry (also left in r8) on a fresh
    machine, handing the machine to [setup] first so a corner can arm
    its own perturbation; [setup]'s result reads back side observations
    after the run.  [cut] narrows the pcc to the first [cut]
-   instructions. *)
-let run_rig ~traced ~engine ?(fuel = 100_000) ?cut prog setup =
+   instructions; [warm] retires that many instructions first
+   ([warm_up]). *)
+let run_rig ~traced ~engine ?(fuel = 100_000) ?cut ?warm prog setup =
   let machine, obs = traced_machine traced in
   let interp = Interp.create ~engine machine in
   Interp.map_segment interp ~base:code_base prog;
+  Option.iter (warm_up interp) warm;
   setup_data machine interp;
   let extra = setup machine in
   let words = Option.value cut ~default:(Isa.length prog) in
@@ -376,15 +397,20 @@ let loop_prog trips =
     ]
 
 (* The superblock engine against the legacy oracle, traced and
-   untraced; returns the traced oracle's view. *)
-let check_matrix name ?fuel ?cut prog setup =
+   untraced; returns the traced oracle's view.  [warm] starts the traced
+   runs at that instret ([warm_up]), so their sample boundaries fall
+   elsewhere in the run. *)
+let check_matrix name ?fuel ?cut ?warm prog setup =
   let oracles =
     List.map
       (fun traced ->
+        let warm = if traced then warm else None in
         let oracle, oracle_extra =
-          run_rig ~traced ~engine:`Legacy ?fuel ?cut prog setup
+          run_rig ~traced ~engine:`Legacy ?fuel ?cut ?warm prog setup
         in
-        let got, extra = run_rig ~traced ~engine:`Superblock ?fuel ?cut prog setup in
+        let got, extra =
+          run_rig ~traced ~engine:`Superblock ?fuel ?cut ?warm prog setup
+        in
         let what = Printf.sprintf "%s: %s" name (mode_name traced) in
         diff_views what oracle got;
         Alcotest.(check (list (pair int int)))
@@ -496,8 +522,8 @@ let test_side_exit_then_compiled () =
      below the loop reaches past the cut, so the dispatcher side-exits
      and steps each instruction on the legacy stepper; the self-looping
      block at [loop] fits under the cut, so the same epoch then runs it
-     compiled (spinning, deferred when untraced); after the loop the
-     side-exits resume until the stepper traps at the cut. *)
+     compiled (spinning, deferred); after the loop the side-exits
+     resume until the stepper traps at the cut. *)
   let prog =
     Isa.assemble ~name:"cut"
       [
@@ -705,6 +731,49 @@ let test_run_inside_self_loop () =
        [ true; false ])
 
 (* ------------------------------------------------------------------ *)
+(* Sample boundary: a traced run that starts just below instret 1024   *)
+(* must emit the [Instr_sample] there with the legacy cycle stamp, so  *)
+(* no deferred block, self-loop spin, bulk zeroing step or [spin]      *)
+(* re-entry may retire that instruction.                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A loop whose back-edge is a Cjal to the block's own entry: the block
+   does not spin on itself, so the dispatcher re-enters it ([spin]). *)
+let cjal_loop_prog trips =
+  Isa.assemble ~name:"cjal_loop"
+    [
+      Isa.I (Isa.Li (1, 0));
+      Isa.I (Isa.Li (2, trips));
+      Isa.L "loop";
+      Isa.I (Isa.Addi (1, 1, 1));
+      Isa.I (Isa.Beq (1, 2, "done"));
+      Isa.I (Isa.Cjal (0, "loop"));
+      Isa.L "done";
+      Isa.I Isa.Halt;
+    ]
+
+let test_sample_boundary () =
+  let interp = Interp.create (Machine.create ()) in
+  Interp.map_segment interp ~base:code_base (cjal_loop_prog 1);
+  Alcotest.(check (option (pair int bool)))
+    "Cjal loop block does not spin on itself" (Some (3, false))
+    (Interp.block_shape interp (code_base + 8));
+  let sample = Printf.sprintf "instr-sample instret=%d" (Obs.sample_mask + 1) in
+  List.iter
+    (fun (name, prog) ->
+      for warm = Obs.sample_mask - 47 to Obs.sample_mask do
+        let what = Printf.sprintf "%s from instret %d" name warm in
+        let oracle = check_matrix what ~warm prog no_setup in
+        if not (List.exists (String.ends_with ~suffix:sample) oracle.s_events) then
+          Alcotest.failf "%s: the run does not cross the sample" what
+      done)
+    [
+      ("self-loop", loop_prog 100);
+      ("bulk zeroing", zero_prog 512);
+      ("Cjal loop", cjal_loop_prog 100);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Bulk zeroing trips: the zero idiom (Cgetaddr r,p; Beq r,e,out; k    *)
 (* Csc zero stores; Cincaddrimm p,p,8k; J back) retires whole runs of  *)
 (* trips in one step under deferral.  Generated variants must match    *)
@@ -794,7 +863,7 @@ let zero_idiom_setup seed ~span machine =
     Machine.set_irq_enabled machine true;
     Machine.set_deliver_hook machine
       (Some (fun n -> delivered := (n, Machine.cycles machine) :: !delivered));
-    Machine.set_timer machine (Some (1 + int (span + 40)))
+    Machine.set_timer machine (Some (Machine.cycles machine + 1 + int (span + 40)))
   end;
   if int 3 = 0 then begin
     Memory.set_revoked mem ~addr:(sram + 64) ~len:8;
@@ -812,10 +881,11 @@ let prop_zero_idiom =
         if Random.State.int rng 3 = 0 then 1 + Random.State.int rng (trips_len + 20)
         else 100_000
       in
+      let warm = Random.State.int rng (Obs.sample_mask + 1) in
       ignore
         (check_matrix
-           (Printf.sprintf "%s fuel %d" what fuel)
-           ~fuel prog
+           (Printf.sprintf "%s fuel %d traced from instret %d" what fuel warm)
+           ~fuel ~warm prog
            (zero_idiom_setup s ~span));
       true)
 
@@ -855,5 +925,10 @@ let () =
           Alcotest.test_case "run nested inside a self-loop" `Quick
             test_run_inside_self_loop;
           Qcheck_seed.to_alcotest prop_zero_idiom;
+        ] );
+      ( "sample window",
+        [
+          Alcotest.test_case "traced runs across a sample boundary" `Quick
+            test_sample_boundary;
         ] );
     ]
